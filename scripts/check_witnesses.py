@@ -1,0 +1,57 @@
+#!/usr/bin/env python3
+"""Full-corpus witness check for the criterion decider.
+
+Runs ``criterion_scan`` over every bundled connected graph on n <= 8
+vertices (12,113 graphs) with the six oracle pairs and hashes one row per
+valid (graph, pair):
+
+    graph6,a,b,exists,s_set,t_set,eta,q,deg_sum
+
+(the witness fields are empty when a factor exists; pairs with n*a odd are
+skipped, as the decider rejects them).  The sha256 of those rows must equal
+``PINNED``, recorded from the per-R reference sweep the table-driven kernel
+replaced, so any change to a verdict or to a witness's bytes shows here.
+
+Run from the repository root:  python scripts/check_witnesses.py
+Prints the digest and the elapsed time; exits 0 on a match and 1 otherwise.
+"""
+
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+
+from factorlab import ParityParams, bundled_connected_graphs, criterion_scan, to_graph6  # noqa: E402
+
+PAIRS = ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))
+PINNED = "ba39f9f9157a9957e6a3cc3a4cad9223a448b5efdeeea500f4b0adae89738ec1"
+
+
+def corpus_digest() -> str:
+    h = hashlib.sha256()
+    for n in range(1, 9):
+        params = [ParityParams(a, b) for a, b in PAIRS if (n * a) % 2 == 0]
+        for g in bundled_connected_graphs(n):
+            g6 = to_graph6(g)
+            for p, v in zip(params, criterion_scan(g, params)):
+                w = v.witness
+                cells = ("", "", "", "", "") if w is None else (w.s_set, w.t_set, w.eta, w.q, w.deg_sum)
+                h.update(",".join(map(str, (g6, p.a, p.b, int(v.exists), *cells))).encode() + b"\n")
+    return h.hexdigest()
+
+
+def main() -> int:
+    start = time.perf_counter()
+    digest = corpus_digest()
+    elapsed = time.perf_counter() - start
+    ok = digest == PINNED
+    print(f"digest {digest}")
+    print(f"pinned {PINNED}")
+    print(f"{'match' if ok else 'MISMATCH'} in {elapsed:.1f} s")
+    return 0 if ok else 1
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -4,6 +4,7 @@ The naive oracle below recomputes eta from scratch with dict-of-sets
 adjacency and recursive DFS, sharing no code with the bitmask route.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -18,6 +19,7 @@ from factorlab import (
     ParityParams,
     SizeLimitError,
     a_odd_count,
+    bundled_connected_graphs,
     complete,
     criterion_scan,
     cycle,
@@ -30,7 +32,9 @@ from factorlab import (
     has_perfect_matching,
     max_matching_size,
     path,
+    sample_connected_min_degree,
     star,
+    to_graph6,
     verify_certificate,
     vertices_of,
 )
@@ -320,6 +324,35 @@ class TestDecideByCriterion:
             assert verdict.exists == (not violated)
 
 
+# sha256 over one row per (graph, pair), recorded from the per-R reference
+# sweep that the table-driven kernel replaced: the witness contract (first
+# violating (S,T) in R-ascending, DFS-preorder-of-T order) pins every byte.
+GOLDEN_WITNESS_DIGEST = "0966358c8ed398fdf7f38fe03a5545d28adb4aa3d23552f3fb8a16414b9a4be3"
+
+
+def golden_witness_rows():
+    pairs = [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)]
+    cases = []
+    for n in range(1, 8):
+        valid = [ParityParams(a, b) for a, b in pairs if (n * a) % 2 == 0]
+        cases += [(g, valid) for g in bundled_connected_graphs(n)]
+    for n in (12, 13, 14):
+        cases.append((g_na(n, 2).graph, [ParityParams(2, 4)]))
+        for k in range(2):
+            g = sample_connected_min_degree(n, 2, random.Random(f"golden:{n}:{k}"))
+            cases.append((g, [ParityParams(2, 4)]))
+    for g, params in cases:
+        for p, v in zip(params, criterion_scan(g, params)):
+            w = v.witness
+            cells = ("", "", "", "", "") if w is None else (w.s_set, w.t_set, w.eta, w.q, w.deg_sum)
+            yield ",".join(map(str, (to_graph6(g), p.a, p.b, int(v.exists), *cells)))
+
+
+def test_golden_witness_digest():
+    text = "\n".join(golden_witness_rows()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WITNESS_DIGEST
+
+
 class TestDecideBySearch:
     def test_k4_two_factor_certificate(self):
         v = decide_by_search(complete(4), ParityParams(2, 2))
@@ -369,6 +402,15 @@ class TestDecideBySearch:
         with pytest.warns(UserWarning):
             v = decide_by_search(g, ParityParams(2, 2), force=True)
         assert v.exists
+
+    def test_long_edge_list_no_recursion_error(self):
+        # one search level per edge: 1500 levels exceed the default recursion limit
+        g = cycle(1500)
+        with pytest.warns(UserWarning):
+            v = decide_by_search(g, ParityParams(2, 2), force=True)
+        assert v.exists
+        assert v.certificate.edges == tuple(g.edges())
+        assert verify_certificate(g, v.certificate, ParityParams(2, 2))
 
     def test_deterministic_certificate(self):
         rng = random.Random(2)
