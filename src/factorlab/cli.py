@@ -16,21 +16,11 @@ from .factors import ParityParams, decide_by_criterion, decide_by_search
 from .families import book_family, g_na, h_nab, odd_1b
 from .graph import mask_of, vertices_of
 from .graph6 import read_graph6, read_graph6_file, to_graph6
-from .harness import (
-    bundled_connected_graphs,
-    grid_book_spectral_bound,
-    grid_bound_monotonicity,
-    grid_clique_merge_dominance,
-    grid_degree_size_bound,
-    grid_gna_no_factor,
-    grid_parity_evenness,
-    survey_theorem,
-    sweep_oracle_equivalence,
-)
+from .harness import GRIDS, bundled_connected_graphs, lemma_grid, survey_theorem, sweep_oracle_equivalence
 from .spectral import NotEquitable, quotient, quotient_rho, spectral_radius
 
 FAMILIES = {"g-na": g_na, "h-nab": h_nab, "odd-1b": odd_1b, "book": book_family}
-SUITES = ("oracle", "lemma2.2", "lemma2.3", "lemma2.6", "lemma2.7", "lemma2.8", "eq1", "survey")
+SUITES = ("oracle", *GRIDS, "survey")
 
 
 def _default_seed() -> int:
@@ -39,11 +29,9 @@ def _default_seed() -> int:
 
 def _read_input_graphs(args) -> list:
     if getattr(args, "infile", None):
-        with open(args.infile, "r", encoding="ascii") as fh:
-            text = fh.read()
+        graphs = read_graph6_file(args.infile)
     else:
-        text = sys.stdin.read()
-    graphs = read_graph6(text)
+        graphs = read_graph6(sys.stdin.read())
     if not graphs:
         raise Graph6Error("no graphs on input")
     return graphs
@@ -137,30 +125,18 @@ def _run_suite(args):
     seed, samples, jobs = args.seed, args.samples, args.jobs
     if args.suite == "oracle":
         if args.corpus:
-            graphs = _read_corpus(args.corpus)
+            graphs = read_graph6_file(args.corpus)
         else:
             graphs = [g for n in range(1, 9) for g in bundled_connected_graphs(n)]
         pairs = [ParityParams(*ab) for ab in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))]
         return sweep_oracle_equivalence(graphs, pairs, jobs=jobs)
-    if args.suite == "lemma2.2":
-        return grid_degree_size_bound(samples=samples or 10_000, seed=seed)
-    if args.suite == "lemma2.3":
-        return grid_bound_monotonicity(samples=samples or 400, seed=seed)
-    if args.suite == "lemma2.6":
-        return grid_clique_merge_dominance()
-    if args.suite == "lemma2.7":
-        return grid_book_spectral_bound()
-    if args.suite == "lemma2.8":
-        return grid_gna_no_factor()
-    if args.suite == "eq1":
-        return grid_parity_evenness(trials=samples or 100_000, seed=seed)
-    return survey_theorem(
-        n=args.n, a=args.a, b=args.b, samples=samples or 100, seed=seed
-    )
-
-
-def _read_corpus(path) -> list:
-    return read_graph6_file(path)
+    if args.suite == "survey":
+        return survey_theorem(n=args.n, a=args.a, b=args.b, samples=samples or 100, seed=seed)
+    count_arg = GRIDS[args.suite][1]
+    if count_arg is None:
+        return lemma_grid(args.suite)
+    # without --samples the runner's own default count applies
+    return lemma_grid(args.suite, seed=seed, **({count_arg: samples} if samples else {}))
 
 
 def _cmd_verify(args) -> int:

@@ -17,7 +17,12 @@ cross-validate each other.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
+from itertools import accumulate
+from operator import or_
+
+import numpy as np
 
 from .errors import (
     InvalidGFError,
@@ -28,6 +33,7 @@ from .errors import (
 from .graph import Graph, VertexSet, components, iter_bits, mask_of
 
 CRITERION_VERTEX_LIMIT = 18
+CRITERION_TABLE_LIMIT = 24  # force=True stops here: 2^n-entry tables, ~12 bytes each
 SEARCH_EDGE_LIMIT = 40
 
 
@@ -105,25 +111,29 @@ def _disjoint_masks(g: Graph, s: VertexSet, t: VertexSet) -> tuple[int, int]:
     return s_mask, t_mask
 
 
+def _deficiency(g: Graph, s_mask: int, t_mask: int, lo, hi) -> tuple[int, int, int]:
+    """(eta, q, deg_sum) of disjoint masks S, T under per-vertex windows [lo(v), hi(v)]."""
+    adj = g.adj
+    deg_sum = sum((adj[x] & ~s_mask).bit_count() for x in iter_bits(t_mask))
+    q = 0
+    for comp in components(g, g.full_mask & ~s_mask & ~t_mask):
+        q += sum(lo[v] + (adj[v] & t_mask).bit_count() for v in iter_bits(comp)) & 1
+    f_s = sum(hi[v] for v in iter_bits(s_mask))
+    g_t = sum(lo[v] for v in iter_bits(t_mask))
+    return f_s - g_t + deg_sum - q, q, deg_sum
+
+
 def a_odd_count(g: Graph, s: VertexSet, t: VertexSet, a: int) -> int:
     """Number of components Q of G-S-T with a|V(Q)| + e(Q,T) odd."""
     s_mask, t_mask = _disjoint_masks(g, s, t)
-    rest = g.full_mask & ~s_mask & ~t_mask
-    count = 0
-    for comp in components(g, rest):
-        e_qt = sum((g.adj[v] & t_mask).bit_count() for v in iter_bits(comp))
-        if (a * comp.bit_count() + e_qt) % 2 == 1:
-            count += 1
-    return count
+    return _deficiency(g, s_mask, t_mask, (a,) * g.n, (a,) * g.n)[1]
 
 
 def eta(g: Graph, s: VertexSet, t: VertexSet, params: ParityParams) -> int:
     """Deficiency b|S| - a|T| + sum_{x in T} d_{G-S}(x) - q(S,T); always even."""
     params.validate_for(g.n)
     s_mask, t_mask = _disjoint_masks(g, s, t)
-    deg_sum = sum((g.adj[x] & ~s_mask).bit_count() for x in iter_bits(t_mask))
-    q = a_odd_count(g, s_mask, t_mask, params.a)
-    return params.b * s_mask.bit_count() - params.a * t_mask.bit_count() + deg_sum - q
+    return _deficiency(g, s_mask, t_mask, (params.a,) * g.n, (params.b,) * g.n)[0]
 
 
 def eta_gf(g: Graph, s: VertexSet, t: VertexSet, gf: GFParams) -> int:
@@ -135,27 +145,15 @@ def eta_gf(g: Graph, s: VertexSet, t: VertexSet, gf: GFParams) -> int:
     if len(gf.g) != g.n:
         raise InvalidGFError(f"gf defined on {len(gf.g)} vertices, graph has {g.n}")
     s_mask, t_mask = _disjoint_masks(g, s, t)
-    f_s = sum(gf.f[v] for v in iter_bits(s_mask))
-    g_t = sum(gf.g[v] for v in iter_bits(t_mask))
-    deg_sum = sum((g.adj[x] & ~s_mask).bit_count() for x in iter_bits(t_mask))
-    rest = g.full_mask & ~s_mask & ~t_mask
-    q = 0
-    for comp in components(g, rest):
-        g_q = sum(gf.g[v] for v in iter_bits(comp))
-        e_qt = sum((g.adj[v] & t_mask).bit_count() for v in iter_bits(comp))
-        if (g_q + e_qt) % 2 == 1:
-            q += 1
-    return f_s - g_t + deg_sum - q
+    return _deficiency(g, s_mask, t_mask, gf.g, gf.f)[0]
 
 
 def decide_by_criterion(g: Graph, params: ParityParams, force: bool = False) -> Verdict:
     """Exists iff eta(S,T) >= 0 for all disjoint S,T; else a witness.
 
-    Exhaustive over all 3^n assignments, organized as: for every mask R of
-    "neither" vertices (ascending), every T inside the complement W = V - R
-    (S = W - T).  Sound pruning discards assignments that provably cannot
-    reach eta <= -2; the witness returned is the first one this enumeration
-    meets, which makes reruns reproducible.
+    Exhaustive over all 3^n assignments with sound cuts only; the witness is
+    the first violating (S,T) in the fixed order of ``criterion_scan``
+    (R-ascending, DFS preorder of T), so reruns return the same one.
     """
     return criterion_scan(g, [params], force=force)[0]
 
@@ -163,8 +161,16 @@ def decide_by_criterion(g: Graph, params: ParityParams, force: bool = False) -> 
 def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = False) -> list[Verdict]:
     """Run ``decide_by_criterion`` for several parameter pairs in one sweep.
 
-    Component data per R mask is shared across parameter pairs; verdicts and
-    witnesses are identical to per-pair calls.
+    With R the "neither" vertices and W = V - R, eta(S,T) = b|W| +
+    sum_{x in T} (d_R(x) - a - b) + 2e(T) - q, q <= c(R) counting components
+    of G[R].  Per graph, ``_component_forest`` tabulates the components of
+    every R and ``_prefilter`` keeps, per pair, the R with
+    sum_{x in W} min(b, d_R(x) - a) - c(R) <= -2.  Surviving R go in
+    ascending order; W is sorted by (d_R(x), x), the order of d_R(x) - a - b
+    for every pair, so it and the component-parity bits are shared by the
+    pairs, and ``_violating_t`` walks the T inside W in DFS preorder.  A
+    pair's witness is its first violating (S,T) in R-ascending,
+    DFS-preorder-of-T order, as in a per-pair call.  Tables hold 2^n entries.
     """
     n = g.n
     for p in params_list:
@@ -174,101 +180,128 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
             raise SizeLimitError(
                 f"criterion decider capped at n <= {CRITERION_VERTEX_LIMIT}; pass force=True to override"
             )
+        if n > CRITERION_TABLE_LIMIT:
+            raise SizeLimitError(f"criterion tables hold 2^n entries; n <= {CRITERION_TABLE_LIMIT} even with force")
         warnings.warn(f"criterion sweep over 3^{n} assignments; this may take very long")
     adj = g.adj
-    full = g.full_mask
-    witnesses: dict[int, CriterionWitness] = {}
+    first, ncomp = _component_forest(adj, n)
+    keep = _prefilter(adj, n, ncomp, params_list)
+    wanted = [row.tobytes() for row in keep]
+    verdicts = [Verdict(exists=True)] * len(params_list)
     live = list(range(len(params_list)))
-    for r_mask in range(full + 1):
-        if not live:
-            break
-        w_mask = full ^ r_mask
-        w_list = list(iter_bits(w_mask))
-        w_cnt = len(w_list)
-        r_cnt = n - w_cnt
-        dr = [(adj[x] & r_mask).bit_count() for x in w_list]
-        todo = []
-        for i in live:
-            a, b = params_list[i].a, params_list[i].b
-            bound = b * w_cnt - r_cnt
-            for d in dr:
-                v = d - a - b
-                if v < 0:
-                    bound += v
-            if bound <= -2:
-                todo.append(i)
+    for r_mask in np.flatnonzero(keep.any(axis=0)).tolist():
+        todo = [i for i in live if wanted[i][r_mask]]
         if not todo:
             continue
-        comps = components(g, r_mask) if r_mask else []
-        c = len(comps)
-        sizes = [comp.bit_count() for comp in comps]
-        pbits = []
-        for x in w_list:
-            ax = adj[x]
-            pb = 0
-            for ci, comp in enumerate(comps):
-                if (ax & comp).bit_count() & 1:
-                    pb |= 1 << ci
-            pbits.append(pb)
+        w_mask = g.full_mask ^ r_mask
+        # W ordered by (d_R(x), x) through one int key; x < 32 fits in 5 bits
+        keys = sorted([(adj[x] & r_mask).bit_count() << 5 | x for x in range(n) if w_mask >> x & 1])
+        xs = [k & 31 for k in keys]
+        ds = [k >> 5 for k in keys]
+        comps = []
+        rest = r_mask
+        while rest:
+            comps.append(first[rest])
+            rest ^= comps[-1]
+        odd_par = sum(1 << k for k, comp in enumerate(comps) if comp.bit_count() & 1)
+        ps = [0] * len(xs)
+        for k, comp in enumerate(comps):
+            ps = [p | 1 << k if (adj[x] & comp).bit_count() & 1 else p for p, x in zip(ps, xs)]
+        orsuf = list(accumulate(reversed(ps), or_, initial=0))[::-1]
         for i in todo:
             a, b = params_list[i].a, params_list[i].b
-            base_par = 0
-            for ci, sz in enumerate(sizes):
-                if (a * sz) & 1:
-                    base_par |= 1 << ci
-            vals = [d - a - b for d in dr]
-            order = sorted(range(w_cnt), key=lambda k: (vals[k], w_list[k]))
-            vs = [vals[k] for k in order]
-            xs = [w_list[k] for k in order]
-            ps = [pbits[k] for k in order]
-            suffmin = [0] * (w_cnt + 1)
-            for j in range(w_cnt - 1, -1, -1):
-                suffmin[j] = suffmin[j + 1] + (vs[j] if vs[j] < 0 else 0)
-            t_found = _violating_t(adj, xs, vs, ps, suffmin, b * w_cnt, base_par, c)
-            if t_found is not None:
-                s_mask = w_mask ^ t_found
-                witnesses[i] = _witness(g, s_mask, t_found, params_list[i])
-                live = [k for k in live if k != i]
-    return [
-        Verdict(exists=False, witness=witnesses[i]) if i in witnesses else Verdict(exists=True)
-        for i in range(len(params_list))
-    ]
+            vs = [d - a - b for d in ds]
+            suffmin = list(accumulate(reversed([min(v, 0) for v in vs]), initial=0))[::-1]
+            t_mask = _violating_t(adj, xs, vs, ps, orsuf, suffmin, b * len(xs), odd_par if a & 1 else 0)
+            if t_mask is not None:
+                s_mask = w_mask ^ t_mask
+                cells = _deficiency(g, s_mask, t_mask, (a,) * n, (b,) * n)
+                verdicts[i] = Verdict(exists=False, witness=CriterionWitness(s_mask, t_mask, *cells))
+                live.remove(i)
+        if not live:
+            break
+    return verdicts
 
 
-def _violating_t(adj, xs, vs, ps, suffmin, acc0, par0, c):
+def _component_forest(adj, n: int) -> tuple[array, array]:
+    """first[R]: the component of R's lowest vertex v in G[R]; ncomp[R]: c(R).
+
+    DP on v: it joins the components of R - v that it touches.  The
+    components of R are first[R], first[R ^ first[R]], and so on.
+    """
+    size = 1 << n
+    first = array("I", [0]) * size
+    ncomp = array("B", [0]) * size
+    for r in range(1, size):
+        low = r & -r
+        nbr = adj[low.bit_length() - 1]
+        comp, count, rest = low, 1, r ^ low
+        while rest:
+            part = first[rest]
+            if part & nbr:
+                comp |= part
+            else:
+                count += 1
+            rest ^= part
+        first[r] = comp
+        ncomp[r] = count
+    return first, ncomp
+
+
+def _prefilter(adj, n: int, ncomp: array, params_list: list[ParityParams]) -> np.ndarray:
+    """keep[i, R]: whether sum_{x in W} min(b, d_R(x) - a) - c(R) <= -2 for pair i.
+
+    That sum bounds eta(S,T) from below for every T inside W = V - R.  Each
+    d_R column is built by doubling over the vertices in uint8 and added to
+    an int16 bound.  As d_R(x) <= n - 1, clamping a to n + 1 and b to n
+    leaves every comparison with -2 as it was.
+    """
+    size = 1 << n
+    count = len(params_list)
+    lo = np.array([min(p.a, n + 1) for p in params_list], dtype=np.int16).reshape(count, 1, 1)
+    hi = np.array([min(p.b, n) for p in params_list], dtype=np.int16).reshape(count, 1, 1)
+    bound = np.zeros((count, size), dtype=np.int16)
+    col = np.zeros(size, dtype=np.uint8)
+    for x in range(n):
+        half = 1
+        for v in range(n):
+            col[half : 2 * half] = col[:half] + (adj[x] >> v & 1)
+            half *= 2
+        # the masks R without x, viewed as (high bits, bit x = 0, low bits)
+        d = col.reshape(size >> x + 1, 2, 1 << x)[:, 0, :]
+        bound.reshape(count, size >> x + 1, 2, 1 << x)[:, :, 0, :] += np.minimum(d - lo, hi)
+    bound -= np.frombuffer(ncomp, dtype=np.uint8)
+    return bound <= -2
+
+
+def _violating_t(adj, xs, vs, ps, orsuf, suffmin, acc0, par0):
     """First T (by DFS order) with eta <= -2; None when every T is clean.
 
     Walks subsets of the W vertices xs by always choosing the next included
-    index; acc tracks eta without its -q term, par tracks per-component
-    parity bits so q = popcount(par).  Branches whose optimistic completion
-    stays above -2 are cut; minimums are exact, so no witness is missed.
+    index; acc is eta without its -q term and par the component parity bits,
+    so q = popcount(par).  Adding xs[k] flips ps[k], so past index j no bit
+    outside par | orsuf[j] gets set: a branch is cut, missing no witness,
+    when acc + suffmin[j] - popcount(par | orsuf[j]) > -2 (at j = len(xs),
+    acc - popcount(par), which every visited T already exceeds).
     """
-    w_cnt = len(xs)
     if acc0 - par0.bit_count() <= -2:
         return 0
-    # stack entries: (next index j, t_mask, acc, par)
+    # (next index j, t_mask, acc, par) of sibling loops still to resume
     stack = [(0, 0, acc0, par0)]
     while stack:
         j, t_mask, acc, par = stack.pop()
-        if j >= w_cnt or acc + suffmin[j] - c > -2:
-            continue
-        # resume the sibling loop after descending into branch j
-        stack.append((j + 1, t_mask, acc, par))
-        x = xs[j]
-        t2 = t_mask | (1 << x)
-        acc2 = acc + vs[j] + 2 * (adj[x] & t_mask).bit_count()
-        par2 = par ^ ps[j]
-        if acc2 - par2.bit_count() <= -2:
-            return t2
-        stack.append((j + 1, t2, acc2, par2))
+        while acc + suffmin[j] - (par | orsuf[j]).bit_count() <= -2:
+            x = xs[j]
+            t2 = t_mask | 1 << x
+            acc2 = acc + vs[j] + 2 * (adj[x] & t_mask).bit_count()
+            par2 = par ^ ps[j]
+            if acc2 - par2.bit_count() <= -2:
+                return t2
+            j += 1
+            # descend into t2 now; t_mask's siblings from j on come after it
+            stack.append((j, t_mask, acc, par))
+            t_mask, acc, par = t2, acc2, par2
     return None
-
-
-def _witness(g: Graph, s_mask: int, t_mask: int, params: ParityParams) -> CriterionWitness:
-    deg_sum = sum((g.adj[x] & ~s_mask).bit_count() for x in iter_bits(t_mask))
-    q = a_odd_count(g, s_mask, t_mask, params.a)
-    value = params.b * s_mask.bit_count() - params.a * t_mask.bit_count() + deg_sum - q
-    return CriterionWitness(s_set=s_mask, t_set=t_mask, eta=value, q=q, deg_sum=deg_sum)
 
 
 def decide_by_search(
@@ -315,41 +348,46 @@ def decide_by_search(
         if not feasible(v):
             return Verdict(exists=False)
 
-    chosen: list[tuple[int, int]] = []
-
-    def search(i: int) -> bool:
-        if i == len(edge_list):
-            return True
+    # chosen[i]: whether edge i is in the factor, for the edges decided so far; an
+    # explicit stack clear of the recursion limit.  Both branches consume und.
+    chosen: list[bool] = []
+    i = 0
+    while i < len(edge_list):
         u, v = edge_list[i]
-        if cur[u] < b and cur[v] < b:
-            cur[u] += 1
-            cur[v] += 1
-            und[u] -= 1
-            und[v] -= 1
-            if feasible(u) and feasible(v):
-                chosen.append((u, v))
-                if search(i + 1):
-                    return True
-                chosen.pop()
-            cur[u] -= 1
-            cur[v] -= 1
-            und[u] += 1
-            und[v] += 1
         und[u] -= 1
         und[v] -= 1
-        ok = feasible(u) and feasible(v) and search(i + 1)
+        take = cur[u] < b and cur[v] < b
+        if take:
+            cur[u] += 1
+            cur[v] += 1
+            if not (feasible(u) and feasible(v)):
+                cur[u] -= 1
+                cur[v] -= 1
+                take = False
+        if take or (feasible(u) and feasible(v)):
+            chosen.append(take)
+            i += 1
+            continue
         und[u] += 1
         und[v] += 1
-        return ok
-
-    if not search(0):
-        return Verdict(exists=False)
-    edges = tuple(sorted((u, v) if u < v else (v, u) for u, v in chosen))
-    degrees = [0] * n
-    for u, v in edges:
-        degrees[u] += 1
-        degrees[v] += 1
-    return Verdict(exists=True, certificate=FactorCertificate(edges=edges, degrees=tuple(degrees)))
+        # backtrack to the deepest included edge that can be excluded instead
+        while chosen:
+            i -= 1
+            u, v = edge_list[i]
+            if chosen.pop():
+                cur[u] -= 1
+                cur[v] -= 1
+                if feasible(u) and feasible(v):
+                    chosen.append(False)
+                    break
+            und[u] += 1
+            und[v] += 1
+        else:
+            return Verdict(exists=False)
+        i += 1
+    edges = tuple(sorted((u, v) if u < v else (v, u) for (u, v), c in zip(edge_list, chosen) if c))
+    # cur now counts the chosen edges at each vertex: the factor's degrees
+    return Verdict(exists=True, certificate=FactorCertificate(edges=edges, degrees=tuple(cur)))
 
 
 def verify_certificate(

@@ -24,11 +24,6 @@ class LabeledConstruction:
     params: dict[str, int]
     hypothesis: dict[str, int | str] = field(default_factory=dict)
 
-    def block_vertices(self, name: str) -> list[int]:
-        from .graph import vertices_of
-
-        return vertices_of(self.blocks[name])
-
     def parts(self) -> list[int]:
         """Block masks in declaration order (a partition of V)."""
         return list(self.blocks.values())

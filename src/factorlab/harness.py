@@ -56,19 +56,23 @@ def bundled_connected_graphs(n: int) -> list[Graph]:
     return read_graph6(text)
 
 
+def _gnp(n: int, p: float, rng: random.Random) -> Graph:
+    """G(n,p), drawing one rng.random() per pair u < v in lexicographic order."""
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, rows)
+
+
 def sample_connected_min_degree(
     n: int, min_deg: int, rng: random.Random, max_tries: int = 400
 ) -> Graph:
     """Rejection-sample a connected G(n,p) graph with minimum degree >= min_deg."""
     for attempt in range(max_tries):
-        p = P_GRID[attempt % len(P_GRID)]
-        rows = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-        g = Graph(n, rows)
+        g = _gnp(n, P_GRID[attempt % len(P_GRID)], rng)
         if min_degree(g) >= min_deg and is_connected(g):
             return g
     raise SamplerExhaustedError(
@@ -79,14 +83,7 @@ def sample_connected_min_degree(
 def sample_min_degree(n: int, min_deg: int, rng: random.Random, max_tries: int = 400) -> Graph:
     """Rejection-sample a (possibly disconnected) G(n,p) graph with delta >= min_deg."""
     for attempt in range(max_tries):
-        p = P_GRID[attempt % len(P_GRID)]
-        rows = [0] * n
-        for u in range(n):
-            for v in range(u + 1, n):
-                if rng.random() < p:
-                    rows[u] |= 1 << v
-                    rows[v] |= 1 << u
-        g = Graph(n, rows)
+        g = _gnp(n, P_GRID[attempt % len(P_GRID)], rng)
         if min_degree(g) >= min_deg:
             return g
     raise SamplerExhaustedError(f"no sample with min degree >= {min_deg} on n={n}")
@@ -580,21 +577,6 @@ def grid_gna_no_factor(
     return report
 
 
-def lemma_grid(suite: str, **kwargs) -> GridReport:
-    """Run one named verification grid; kwargs pass through to its runner."""
-    table = {
-        "lemma2.2": grid_degree_size_bound,
-        "lemma2.3": grid_bound_monotonicity,
-        "lemma2.6": grid_clique_merge_dominance,
-        "lemma2.7": grid_book_spectral_bound,
-        "lemma2.8": grid_gna_no_factor,
-        "eq1": grid_parity_evenness,
-    }
-    if suite not in table:
-        raise FactorLabError(f"unknown grid suite {suite!r}; choose from {sorted(table)}")
-    return table[suite](**kwargs)
-
-
 def grid_parity_evenness(trials: int = 100_000, seed: int = 0, block: int = 1000) -> GridReport:
     """Seeded random (G, S, T, a, b) instances: eta must always be even."""
     report = GridReport(
@@ -609,14 +591,7 @@ def grid_parity_evenness(trials: int = 100_000, seed: int = 0, block: int = 1000
         rng = random.Random(f"{seed}:eq1:{block_idx}")
         for _ in range(todo):
             n = rng.randrange(4, 13)
-            p = rng.choice(P_GRID)
-            rows = [0] * n
-            for u in range(n):
-                for v in range(u + 1, n):
-                    if rng.random() < p:
-                        rows[u] |= 1 << v
-                        rows[v] |= 1 << u
-            g = Graph(n, rows)
+            g = _gnp(n, rng.choice(P_GRID), rng)
             a, b = rng.choice([(x, y) for x, y in pairs if (n * x) % 2 == 0])
             s_mask = t_mask = 0
             for v in range(n):
@@ -631,3 +606,22 @@ def grid_parity_evenness(trials: int = 100_000, seed: int = 0, block: int = 1000
         done += todo
         block_idx += 1
     return report
+
+
+# suite name -> (runner, name of its sample-count argument, or None for the
+# fixed grids, which take neither a count nor a seed)
+GRIDS = {
+    "lemma2.2": (grid_degree_size_bound, "samples"),
+    "lemma2.3": (grid_bound_monotonicity, "samples"),
+    "lemma2.6": (grid_clique_merge_dominance, None),
+    "lemma2.7": (grid_book_spectral_bound, None),
+    "lemma2.8": (grid_gna_no_factor, None),
+    "eq1": (grid_parity_evenness, "trials"),
+}
+
+
+def lemma_grid(suite: str, **kwargs) -> GridReport:
+    """Run one named verification grid; kwargs pass through to its runner."""
+    if suite not in GRIDS:
+        raise FactorLabError(f"unknown grid suite {suite!r}; choose from {sorted(GRIDS)}")
+    return GRIDS[suite][0](**kwargs)

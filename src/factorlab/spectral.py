@@ -48,9 +48,6 @@ class QuotientMatrix:
     parts: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.entries, dtype=float)
-
 
 @dataclass(frozen=True)
 class NotEquitable:
@@ -139,7 +136,6 @@ def hong_nikiforov_bound(n: int, m: int, delta: int) -> float:
     if not n * delta <= 2 * m <= n * (n - 1):
         raise BadParamsError(f"inconsistent (n={n}, m={m}, delta={delta})")
     radicand = 2 * m - n * delta + (delta + 1) ** 2 / 4.0
-    assert radicand >= 0.0
     return (delta - 1) / 2.0 + sqrt(radicand)
 
 

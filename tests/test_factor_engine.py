@@ -287,6 +287,21 @@ class TestDecideByCriterion:
             v = decide_by_criterion(g, ParityParams(1, 1), force=True)
         assert v.exists  # P_6 has a perfect matching
 
+    def test_table_ceiling_refuses_force(self, monkeypatch):
+        import factorlab.factors as factors
+
+        monkeypatch.setattr(factors, "CRITERION_VERTEX_LIMIT", 4)
+        monkeypatch.setattr(factors, "CRITERION_TABLE_LIMIT", 5)
+        with pytest.warns(UserWarning):
+            assert decide_by_criterion(cycle(5), ParityParams(2, 2), force=True).exists
+
+        def no_tables(*args):
+            raise AssertionError("tables allocated above the ceiling")
+
+        monkeypatch.setattr(factors, "_component_forest", no_tables)
+        with pytest.raises(SizeLimitError):
+            decide_by_criterion(path(6), ParityParams(1, 1), force=True)
+
     def test_batched_scan_equals_single(self):
         rng = random.Random(9)
         params = [ParityParams(2, 2), ParityParams(2, 4), ParityParams(4, 4)]
