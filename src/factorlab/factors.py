@@ -184,6 +184,7 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
             raise SizeLimitError(f"criterion tables hold 2^n entries; n <= {CRITERION_TABLE_LIMIT} even with force")
         warnings.warn(f"criterion sweep over 3^{n} assignments; this may take very long")
     adj = g.adj
+    full = g.full_mask
     first, ncomp = _component_forest(adj, n)
     keep = _prefilter(adj, n, ncomp, params_list)
     wanted = [row.tobytes() for row in keep]
@@ -193,26 +194,25 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
         todo = [i for i in live if wanted[i][r_mask]]
         if not todo:
             continue
-        w_mask = g.full_mask ^ r_mask
+        w_mask = full ^ r_mask
         # W ordered by (d_R(x), x) through one int key; x < 32 fits in 5 bits
         keys = sorted([(adj[x] & r_mask).bit_count() << 5 | x for x in range(n) if w_mask >> x & 1])
         xs = [k & 31 for k in keys]
-        ds = [k >> 5 for k in keys]
         comps = []
         rest = r_mask
         while rest:
             comps.append(first[rest])
             rest ^= comps[-1]
-        odd_par = sum(1 << k for k, comp in enumerate(comps) if comp.bit_count() & 1)
         ps = [0] * len(xs)
         for k, comp in enumerate(comps):
             ps = [p | 1 << k if (adj[x] & comp).bit_count() & 1 else p for p, x in zip(ps, xs)]
         orsuf = list(accumulate(reversed(ps), or_, initial=0))[::-1]
         for i in todo:
             a, b = params_list[i].a, params_list[i].b
-            vs = [d - a - b for d in ds]
-            suffmin = list(accumulate(reversed([min(v, 0) for v in vs]), initial=0))[::-1]
-            t_mask = _violating_t(adj, xs, vs, ps, orsuf, suffmin, b * len(xs), odd_par if a & 1 else 0)
+            vs = [(k >> 5) - a - b for k in keys]
+            suffmin = list(accumulate(reversed([v if v < 0 else 0 for v in vs]), initial=0))[::-1]
+            par0 = sum(1 << k for k, comp in enumerate(comps) if comp.bit_count() & 1) if a & 1 else 0
+            t_mask = _violating_t(adj, xs, vs, ps, orsuf, suffmin, b * len(xs), par0)
             if t_mask is not None:
                 s_mask = w_mask ^ t_mask
                 cells = _deficiency(g, s_mask, t_mask, (a,) * n, (b,) * n)
