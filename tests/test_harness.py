@@ -222,6 +222,11 @@ class TestGrids:
         assert lines[0] == "a,b,n,eta,q,criterion_no_factor,search_no_factor,pass"
         assert len(lines) == len(report.rows) + 1
 
+    def test_wrong_width_row_raises(self):
+        report = grid_gna_no_factor(a_values=(2,), n_max=8, decide_max=0)
+        with pytest.raises(FactorLabError):
+            report.add(1, 2, 3)
+
     def test_lemma_grid_dispatch(self):
         from factorlab import lemma_grid
 

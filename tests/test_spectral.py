@@ -1,7 +1,10 @@
 """Spectral engine: power iteration, bounds, quotients, the cubic, rotations."""
 
+import hashlib
 import math
 import random
+import time
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -21,6 +24,8 @@ from factorlab import (
     f_monotone_check,
     from_edges,
     g_na,
+    grid_clique_merge_dominance,
+    grid_degree_size_bound,
     hong_nikiforov_bound,
     is_connected,
     path,
@@ -28,6 +33,7 @@ from factorlab import (
     quotient_rho,
     spectral_radius,
     star,
+    survey_theorem,
 )
 from factorlab.spectral import QuotientMatrix, charpoly_coefficients
 
@@ -242,6 +248,78 @@ class TestQuotientRho:
         g = star(9)
         qm = quotient(g, [1, g.full_mask ^ 1])
         assert abs(quotient_rho(qm) - math.sqrt(8)) <= 1e-12
+
+    def test_reducible_quotient_takes_largest_block(self):
+        # K3 + K2 split into its components: quotient diag(2, 1), rho = 2
+        g = disjoint_union(complete(3), complete(2))
+        qm = quotient(g, [0b00111, 0b11000])
+        start = time.perf_counter()
+        assert quotient_rho(qm) == 2.0
+        assert time.perf_counter() - start < 1.0
+
+    def test_double_perron_root_rejected(self):
+        # K3 + K3 + K2 split into its components: diag(2, 2, 1), rho = 2 twice,
+        # so the characteristic polynomial has no sign change to certify
+        g = disjoint_union(disjoint_union(complete(3), complete(3)), complete(2))
+        qm = quotient(g, [0b111, 0b111000, 0b11000000])
+        start = time.perf_counter()
+        with pytest.raises(NotConvergedError):
+            quotient_rho(qm)
+        assert time.perf_counter() - start < 1.0
+
+
+def _det(rows):
+    """Determinant by Fraction Gaussian elimination."""
+    m = [[Fraction(v) for v in row] for row in rows]
+    det = Fraction(1)
+    for col in range(len(m)):
+        pivot = next((r for r in range(col, len(m)) if m[r][col] != 0), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            m[col], m[pivot] = m[pivot], m[col]
+            det = -det
+        det *= m[col][col]
+        for r in range(col + 1, len(m)):
+            factor = m[r][col] / m[col][col]
+            m[r] = [x - factor * y for x, y in zip(m[r], m[col])]
+    return det
+
+
+class TestCharpoly:
+    def test_matches_fraction_determinant(self):
+        # a degree-k polynomial is fixed by its values at x = 0..k
+        rng = random.Random(23)
+        for k in range(1, 9):
+            for _ in range(6):
+                entries = tuple(tuple(rng.randrange(-3, 7) for _ in range(k)) for _ in range(k))
+                coeffs = charpoly_coefficients(entries)
+                assert len(coeffs) == k + 1 and coeffs[0] == 1
+                for x in range(k + 1):
+                    shifted = [
+                        [(x if i == j else 0) - entries[i][j] for j in range(k)] for i in range(k)
+                    ]
+                    assert sum(c * x ** (k - i) for i, c in enumerate(coeffs)) == _det(shifted)
+
+
+# sha256 over report bytes whose floats come from spectral_radius: the rho
+# cells of lemma 2.6 (connected), lemma 2.2 (8 of its 420 graphs are
+# disconnected at seed 0) and the survey.  Pins the power-iteration digits.
+GOLDEN_SPECTRAL_DIGESTS = {
+    "lemma2.6": "dd6bd03e9d3251bc921a2dae6d40e00744e2c719361bed8a2cfc7ef184114e2b",
+    "lemma2.2": "a10978aa4ddaa1f1de3bd7e84511ea6c87d0ffd628c1bc8470530ed3f01ed58c",
+    "survey": "abf232690754dafb73be4a8155057ab4de3239824e02e6f02e6877234433f214",
+}
+
+
+def test_golden_spectral_report_digests():
+    texts = {
+        "lemma2.6": grid_clique_merge_dominance(n_max=10).to_csv(),
+        "lemma2.2": grid_degree_size_bound(samples=400, regular_samples=20).to_csv(),
+        "survey": survey_theorem(12, 2, 4, 5, 1).render(),
+    }
+    digests = {name: hashlib.sha256(text.encode()).hexdigest() for name, text in texts.items()}
+    assert digests == GOLDEN_SPECTRAL_DIGESTS
 
 
 class TestBookCubic:
