@@ -1,20 +1,21 @@
 """Spectral radii, Perron vectors, equitable quotient matrices, and the
 closed-form bounds used by the verification suites.
 
-Power iteration runs on A + I so the spectrum is shifted by +1: on bipartite
-graphs the dominant pair +/-rho would otherwise oscillate and stall
-convergence.  Quotient spectral radii for matrices up to 4x4 are isolated by
-bisecting the exact integer characteristic polynomial, after a
-Collatz-Wielandt bracket pins the root: bisecting blindly inside
-[min row sum, max row sum] is unsound because subdominant real eigenvalues
-may sit above the minimum row sum.
+Every dense matrix comes from ``adjacency_matrix``, which unpacks the
+bitmask rows in one call.  Power iteration runs on A + I so the spectrum is
+shifted by +1: on bipartite graphs the dominant pair +/-rho would otherwise
+oscillate and stall convergence.  Quotient spectral radii for matrices up
+to 8x8 are exact: a LAPACK eigenvalue brackets the Perron root, a sign
+change of the integer characteristic polynomial (Berkowitz) certifies the
+bracket, and bisection narrows it to adjacent floats.  Bisecting blindly
+inside [min row sum, max row sum] would be unsound because subdominant
+real eigenvalues may sit above the minimum row sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, permutations
 from math import sqrt
 
 import numpy as np
@@ -69,11 +70,11 @@ class CubicPoly:
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
-    a = np.zeros((g.n, g.n))
-    for v in range(g.n):
-        for u in iter_bits(g.adj[v]):
-            a[v, u] = 1.0
-    return a
+    """Dense 0/1 adjacency matrix: rows packed to little-endian bytes, one unpack."""
+    width = (g.n + 7) // 8
+    packed = np.frombuffer(b"".join(row.to_bytes(width, "little") for row in g.adj), dtype=np.uint8)
+    bits = np.unpackbits(packed.reshape(g.n, width), axis=1, count=g.n, bitorder="little")
+    return bits.astype(float)
 
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, int, float]:
@@ -105,27 +106,22 @@ def spectral_radius(
     """
     if g.n == 0:
         raise BadParamsError("spectral radius of the empty graph is undefined")
+    a = adjacency_matrix(g)
     comps = components(g)
     if len(comps) == 1:
-        rho, x, iterations, residual = _power_iteration(adjacency_matrix(g), tol, max_iter)
+        rho, x, iterations, residual = _power_iteration(a, tol, max_iter)
         return SpectralResult(rho=rho, perron=x, iterations=iterations, residual=residual)
     best = None
     total_iter = 0
     for comp in comps:
         verts = vertices_of(comp)
-        sub = np.zeros((len(verts), len(verts)))
-        index = {v: i for i, v in enumerate(verts)}
-        for v in verts:
-            for u in iter_bits(g.adj[v] & comp):
-                sub[index[v], index[u]] = 1.0
-        rho, x, iterations, residual = _power_iteration(sub, tol, max_iter)
+        rho, x, iterations, residual = _power_iteration(a[np.ix_(verts, verts)], tol, max_iter)
         total_iter += iterations
         if best is None or rho > best[0]:
             best = (rho, verts, x, residual)
     rho, verts, x, residual = best
     perron = np.zeros(g.n)
-    for i, v in enumerate(verts):
-        perron[v] = x[i]
+    perron[verts] = x
     return SpectralResult(rho=rho, perron=perron, iterations=total_iter, residual=residual)
 
 
@@ -187,28 +183,23 @@ def quotient(g: Graph, parts: list[VertexSet]) -> QuotientMatrix | NotEquitable:
     return QuotientMatrix(parts=tuple(masks), entries=tuple(entries))
 
 
-def _principal_minor_sum(entries: tuple[tuple[int, ...], ...], k: int) -> int:
-    """Sum of k x k principal minors, exact integer arithmetic."""
-    size = len(entries)
-    total = 0
-    for rows in combinations(range(size), k):
-        det = 0
-        for perm in permutations(range(k)):
-            inversions = sum(
-                1 for i in range(k) for j in range(i + 1, k) if perm[i] > perm[j]
-            )
-            prod = 1
-            for i in range(k):
-                prod *= entries[rows[i]][rows[perm[i]]]
-            det += -prod if inversions % 2 else prod
-        total += det
-    return total
-
-
 def charpoly_coefficients(entries: tuple[tuple[int, ...], ...]) -> list[int]:
-    """Coefficients of det(xI - M), highest power first, exact integers."""
-    size = len(entries)
-    return [(-1) ** k * _principal_minor_sum(entries, k) for k in range(size + 1)]
+    """Coefficients of det(xI - M), highest power first, exact integers.
+
+    Berkowitz's division-free recurrence: with M_k the leading k x k block,
+    row r = M[k][:k], column c = M[:k][k], the polynomial of M_{k+1} is the
+    lower-triangular Toeplitz matrix of (1, -M[k][k], -r c, -r M_k c, ...)
+    times that of M_k.  O(k^4) integer operations.
+    """
+    poly = [1]
+    for k, row in enumerate(entries):
+        toeplitz = [1, -row[k]]
+        vec = [entries[i][k] for i in range(k)]
+        for _ in range(k):
+            toeplitz.append(-sum(r * v for r, v in zip(row, vec)))
+            vec = [sum(entries[i][j] * vec[j] for j in range(k)) for i in range(k)]
+        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+    return poly
 
 
 def _eval_exact(coeffs: list[int], x: float) -> Fraction:
@@ -219,49 +210,36 @@ def _eval_exact(coeffs: list[int], x: float) -> Fraction:
     return acc
 
 
-def quotient_rho(q: QuotientMatrix, tol: float = 1e-12) -> float:
-    """Perron root of a nonnegative irreducible quotient matrix.
+def quotient_rho(q: QuotientMatrix) -> float:
+    """Perron root of a nonnegative quotient matrix.
 
-    A Collatz-Wielandt bracket from shifted power iteration localizes the
-    root, then exact bisection of the integer characteristic polynomial
-    sharpens it to ``tol``.
+    Constant row sums give the root exactly.  Otherwise the largest real
+    part among the LAPACK eigenvalues brackets it; up to 8x8 the bracket is
+    certified by a sign change of the exact characteristic polynomial and
+    bisected to adjacent floats, returning the upper one (the root itself
+    when it is a float).  A Perron root of even multiplicity, as in a
+    reducible quotient with two equal blocks, has no sign change and raises
+    ``NotConvergedError``.
     """
-    size = len(q.entries)
-    row_sums = [sum(row) for row in q.entries]
-    if size == 1:
-        return float(q.entries[0][0])
-    if min(row_sums) == max(row_sums):
-        return float(row_sums[0])
-    m = np.array(q.entries, dtype=float)
-    x = np.ones(size)
-    bracket_goal = 1e-6 if size <= 8 else tol
-    lo = hi = None
-    for _ in range(1_000_000):
-        y = m @ x + x
-        ratios = y / x
-        lo, hi = float(ratios.min()) - 1.0, float(ratios.max()) - 1.0
-        if hi - lo <= bracket_goal:
-            break
-        x = y / np.linalg.norm(y)
-    else:
-        raise NotConvergedError("Collatz-Wielandt bracket did not tighten")
-    if size > 8:
-        # exact charpoly bisection is only worthwhile for small matrices
-        return (lo + hi) / 2.0
+    row_sums = {sum(row) for row in q.entries}
+    if len(row_sums) == 1:
+        return float(row_sums.pop())
+    root = float(np.linalg.eigvals(np.array(q.entries, dtype=float)).real.max())
+    if len(q.entries) > 8:
+        return root  # exact charpoly bisection is only worthwhile for small matrices
     coeffs = charpoly_coefficients(q.entries)
-    left, right = lo - 1e-6, hi + 1e-6
-    # certify the bracket: strictly below/above the (simple) Perron root
+    left, right = root - 1e-6, root + 1e-6
+    # certify the bracket: strictly below/above a simple Perron root
     if not (_eval_exact(coeffs, left) < 0 < _eval_exact(coeffs, right)):
         raise NotConvergedError("characteristic polynomial bracket certification failed")
-    while right - left > tol:
+    while True:
         mid = (left + right) / 2.0
         if mid <= left or mid >= right:
-            break
+            return right
         if _eval_exact(coeffs, mid) < 0:
             left = mid
         else:
             right = mid
-    return (left + right) / 2.0
 
 
 def book_charpoly(n: int, s: int, b: int) -> tuple[CubicPoly, int, int]:
