@@ -19,7 +19,7 @@ from multiprocessing import Pool
 from .errors import FactorLabError, SamplerExhaustedError
 from .factors import (
     ParityParams,
-    a_odd_count,
+    _deficiency,
     criterion_scan,
     decide_by_search,
     eta,
@@ -131,7 +131,10 @@ class GridReport:
     rows: list[tuple] = field(default_factory=list)
 
     def add(self, *values) -> None:
-        assert len(values) == len(self.columns)
+        if len(values) != len(self.columns):
+            raise FactorLabError(
+                f"{self.suite} row has {len(values)} cells, expected {len(self.columns)}"
+            )
         self.rows.append(values)
 
     @property
@@ -561,8 +564,7 @@ def grid_gna_no_factor(
                 continue
             cons = g_na(n, a)
             t_mask = cons.blocks["indep"]
-            value = eta(cons.graph, 0, t_mask, params)
-            q = a_odd_count(cons.graph, 0, t_mask, a)
+            value, q, _ = _deficiency(cons.graph, 0, t_mask, (a,) * n, (b,) * n)
             ok = value == -2 and q == 2
             c_no = s_no = ""
             if n <= decide_max:
