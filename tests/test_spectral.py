@@ -267,6 +267,11 @@ class TestQuotientRho:
             quotient_rho(qm)
         assert time.perf_counter() - start < 1.0
 
+    def test_empty_quotient_rejected(self):
+        qm = quotient(from_edges(0, []), [])
+        with pytest.raises(BadParamsError):
+            quotient_rho(qm)
+
 
 def _det(rows):
     """Determinant by Fraction Gaussian elimination."""
