@@ -221,6 +221,8 @@ def quotient_rho(q: QuotientMatrix) -> float:
     reducible quotient with two equal blocks, has no sign change and raises
     ``NotConvergedError``.
     """
+    if not q.entries:
+        raise BadParamsError("spectral radius of the empty graph is undefined")
     row_sums = {sum(row) for row in q.entries}
     if len(row_sums) == 1:
         return float(row_sums.pop())
