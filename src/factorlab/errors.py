@@ -30,7 +30,9 @@ class SizeLimitError(FactorLabError):
 
 
 class NotConvergedError(FactorLabError):
-    """Power iteration reached max_iter with residual above tolerance."""
+    """Power iteration reached max_iter with residual above tolerance, or the
+    exact characteristic polynomial failed to certify a quotient's Perron
+    root (no sign change across it, as at a root of even multiplicity)."""
 
 
 class NotAPartitionError(FactorLabError):
