@@ -29,7 +29,7 @@ from factorlab import (
     sweep_oracle_equivalence,
     to_graph6,
 )
-from factorlab.harness import sample_regular
+from factorlab.harness import GridReport, sample_regular
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
@@ -223,7 +223,7 @@ class TestGrids:
         assert len(lines) == len(report.rows) + 1
 
     def test_wrong_width_row_raises(self):
-        report = grid_gna_no_factor(a_values=(2,), n_max=8, decide_max=0)
+        report = GridReport(suite="demo", columns=("n", "pass"))
         with pytest.raises(FactorLabError):
             report.add(1, 2, 3)
 
