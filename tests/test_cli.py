@@ -1,10 +1,11 @@
 """Command-line interface: output contracts, exit codes, round-trips."""
 
+import hashlib
 import json
 
 import pytest
 
-from factorlab import from_graph6, g_na, to_graph6
+from factorlab import bundled_connected_graphs, from_graph6, g_na, to_graph6
 from factorlab.cli import main
 
 
@@ -205,3 +206,35 @@ class TestVerify:
         run_cli(capsys, argv + ["--out", str(f2)], stdin=None)
         assert "seed=77" in f1.read_text()
         assert f1.read_bytes() == f2.read_bytes()
+
+
+# sha256 of `verify` stdout (report plus summary line), one per suite run.
+# lemma2.7 is left out: its fixed grid takes several seconds.
+GOLDEN_VERIFY_DIGESTS = {
+    "lemma2.2": "dfec55678fbe27462e871389bbd85d52a34690748b39aec08c8c67598c52d864",
+    "lemma2.3": "68385db4032f3ed9176a3139ea8d102ab285fc0748ed2b4cc9118c2b3280d7bc",
+    "eq1": "c0a4b498b27573e67e3f914e65aeecc4c7472bf1232c9a05c89e49417ddf1033",
+    "survey": "786b839ac3fc0726ab42bc3264f490f84e95fc4192b59defd4fa9ac24b5747f8",
+    "oracle": "8862a31ee25d148a8e3609ade66b4ae5a69b3923d82a60d292453b77551f385a",
+    "lemma2.6": "8c89ce2ebaa6103ce4faa9827da7ffeaec302faead811c30349d32630a6e05a8",
+    "lemma2.8": "b2b8045e7128e991e4ba2e619d699f7a581f1ea5dbc422348bc12ee8bd7df316",
+}
+
+
+def test_golden_verify_digests(capsys, tmp_path):
+    corpus = tmp_path / "n6.g6"
+    corpus.write_text("".join(to_graph6(g) + "\n" for g in bundled_connected_graphs(6)))
+    runs = [
+        ("lemma2.2", ["--samples", "300", "--seed", "3"]),
+        ("lemma2.3", ["--samples", "300", "--seed", "3"]),
+        ("eq1", ["--samples", "300", "--seed", "3"]),
+        ("survey", ["--n", "12", "--samples", "6", "--seed", "2"]),
+        ("oracle", ["--corpus", str(corpus)]),
+        ("oracle", ["--corpus", str(corpus), "--jobs", "2"]),
+        ("lemma2.6", []),
+        ("lemma2.8", []),
+    ]
+    for suite, extra in runs:
+        code, out, _ = run_cli(capsys, ["verify", "--suite", suite, *extra])
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_DIGESTS[suite], (suite, extra)
