@@ -20,6 +20,15 @@ def run_cli(capsys, argv, stdin=None, monkeypatch=None):
     return code, captured.out, captured.err
 
 
+def run_exit(capsys, argv):
+    """Exit code and stderr of main(argv), whether it returns or argparse exits."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return code, capsys.readouterr().err
+
+
 class TestConstruct:
     def test_gna_roundtrip_and_sidecar(self, capsys):
         code, out, err = run_cli(capsys, ["construct", "g-na", "--n", "12", "--a", "2"])
@@ -86,6 +95,22 @@ class TestRho:
         from factorlab import spectral_radius
 
         assert abs(data["rho"] - spectral_radius(from_graph6(g6_line)).rho) <= 1e-8
+
+    @pytest.mark.parametrize(
+        "content",
+        [None, "not json", "[1,2]", '{"x":1}', '{"blocks":[[0,1]]}', '{"blocks":{"x":"ab"}}',
+         '{"blocks":{"x":[-1]}}'],
+        ids=["missing", "not-json", "list", "no-blocks", "blocks-list", "block-str", "negative"],
+    )
+    def test_bad_sidecar_is_input_error(self, capsys, monkeypatch, tmp_path, content):
+        sidecar = tmp_path / "blocks.json"
+        if content is not None:
+            sidecar.write_text(content)
+        g6 = to_graph6(g_na(14, 3).graph)
+        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(f"{g6}\n{g6}\n"))
+        code, err = run_exit(capsys, ["rho", "--quotient", str(sidecar)])
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
     def test_malformed_graph6_is_input_error(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, ["rho"], stdin="A_X\n", monkeypatch=monkeypatch)
@@ -154,6 +179,42 @@ class TestCheckParityFactor:
         lines = out.strip().split("\n")
         assert len(lines) == 2
         assert all(json.loads(line)["criterion"] == "exists" for line in lines)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rho", "--in", "{tmp}/missing.g6"],
+        ["verify", "--suite", "oracle", "--corpus", "{tmp}/missing.g6"],
+        ["rho", "--in", "{tmp}/latin.g6"],
+        ["verify", "--suite", "eq1", "--samples", "10", "--out", "{tmp}/no/such/dir.csv"],
+    ],
+    ids=["missing-in", "missing-corpus", "non-ascii-in", "unwritable-out"],
+)
+def test_outside_input_is_input_error(capsys, tmp_path, argv):
+    (tmp_path / "latin.g6").write_bytes("C~\nC\u00e9\n".encode("utf-8"))
+    code, err = run_exit(capsys, [arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, env_seed",
+    [
+        (["verify", "--suite", "lemma9.9"], None),
+        (["verify", "--suite", "lemma2.2", "--samples", "0"], None),
+        (["verify", "--suite", "eq1", "--samples", "-3"], None),
+        (["verify", "--suite", "eq1", "--samples", "10"], "abc"),
+    ],
+    ids=["unknown-suite", "samples-0", "samples-negative", "seed-env-not-int"],
+)
+def test_verify_usage_error(capsys, monkeypatch, argv, env_seed):
+    if env_seed is not None:
+        monkeypatch.setenv("FACTORLAB_SEED", env_seed)
+    code, err = run_exit(capsys, argv)
+    assert code == 2
+    assert "Traceback" not in err
+    assert err.strip().splitlines()[-1].startswith("factorlab verify: error:")
 
 
 class TestVerify:
