@@ -63,7 +63,6 @@ from .harness import (
     grid_degree_size_bound,
     grid_gna_no_factor,
     grid_parity_evenness,
-    lemma_grid,
     recognize_gna,
     sample_connected_min_degree,
     survey_theorem,

@@ -11,20 +11,15 @@ import json
 import os
 import sys
 
-from .errors import FactorLabError, Graph6Error
+from . import harness
+from .errors import BadParamsError, FactorLabError, Graph6Error
 from .factors import ParityParams, decide_by_criterion, decide_by_search
 from .families import book_family, g_na, h_nab, odd_1b
-from .graph import mask_of, vertices_of
+from .graph import MAX_VERTICES, mask_of, vertices_of
 from .graph6 import read_graph6, read_graph6_file, to_graph6
-from .harness import GRIDS, bundled_connected_graphs, lemma_grid, survey_theorem, sweep_oracle_equivalence
-from .spectral import NotEquitable, quotient, quotient_rho, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, NotEquitable, quotient, quotient_rho, spectral_radius
 
 FAMILIES = {"g-na": g_na, "h-nab": h_nab, "odd-1b": odd_1b, "book": book_family}
-SUITES = ("oracle", *GRIDS, "survey")
-
-
-def _default_seed() -> int:
-    return int(os.environ.get("FACTORLAB_SEED", "1"))
 
 
 def _read_input_graphs(args) -> list:
@@ -64,14 +59,28 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _read_blocks(path: str) -> list[int]:
+    """Block masks from a JSON sidecar shaped {"blocks": {name: [vertex, ...]}}."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            sidecar = json.load(fh)
+        except ValueError as exc:
+            raise BadParamsError(f"sidecar {path}: {exc}") from None
+    blocks = sidecar.get("blocks") if isinstance(sidecar, dict) else None
+    if not isinstance(blocks, dict) or not all(
+        isinstance(block, list) and all(type(v) is int and 0 <= v < MAX_VERTICES for v in block)
+        for block in blocks.values()
+    ):
+        raise BadParamsError(f'sidecar {path}: expected {{"blocks": {{name: [vertex, ...]}}}}')
+    return [mask_of(block) for block in blocks.values()]
+
+
 def _cmd_rho(args) -> int:
     graphs = _read_input_graphs(args)
+    parts = _read_blocks(args.quotient) if args.quotient else None
     out = []
     for g in graphs:
-        if args.quotient:
-            with open(args.quotient, "r", encoding="utf-8") as fh:
-                sidecar = json.load(fh)
-            parts = [mask_of(v) for v in sidecar["blocks"].values()]
+        if parts is not None:
             qm = quotient(g, parts)
             if isinstance(qm, NotEquitable):
                 print(
@@ -121,26 +130,39 @@ def _cmd_check(args) -> int:
     return 0
 
 
-def _run_suite(args):
-    seed, samples, jobs = args.seed, args.samples, args.jobs
-    if args.suite == "oracle":
-        if args.corpus:
-            graphs = read_graph6_file(args.corpus)
-        else:
-            graphs = [g for n in range(1, 9) for g in bundled_connected_graphs(n)]
-        pairs = [ParityParams(*ab) for ab in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))]
-        return sweep_oracle_equivalence(graphs, pairs, jobs=jobs)
-    if args.suite == "survey":
-        return survey_theorem(n=args.n, a=args.a, b=args.b, samples=samples or 100, seed=seed)
-    count_arg = GRIDS[args.suite][1]
-    if count_arg is None:
-        return lemma_grid(args.suite)
-    # without --samples the runner's own default count applies
-    return lemma_grid(args.suite, seed=seed, **({count_arg: samples} if samples else {}))
+def _oracle(args):
+    if args.corpus:
+        graphs = read_graph6_file(args.corpus)
+    else:
+        graphs = [g for n in range(1, 9) for g in harness.bundled_connected_graphs(n)]
+    pairs = [ParityParams(*ab) for ab in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))]
+    return harness.sweep_oracle_equivalence(graphs, pairs, jobs=args.jobs)
+
+
+def _count(args, keyword: str) -> dict:
+    # --samples only when given, so that the runner's own default is the only default
+    return {} if args.samples is None else {keyword: args.samples}
+
+
+# suite name -> runner of the parsed arguments; the fixed grids take no seed
+SUITES = {
+    "oracle": _oracle,
+    "lemma2.2": lambda args: harness.grid_degree_size_bound(seed=args.seed, **_count(args, "samples")),
+    "lemma2.3": lambda args: harness.grid_bound_monotonicity(seed=args.seed, **_count(args, "samples")),
+    "lemma2.6": lambda args: harness.grid_clique_merge_dominance(),
+    "lemma2.7": lambda args: harness.grid_book_spectral_bound(),
+    "lemma2.8": lambda args: harness.grid_gna_no_factor(),
+    "eq1": lambda args: harness.grid_parity_evenness(seed=args.seed, **_count(args, "trials")),
+    "survey": lambda args: harness.survey_theorem(
+        args.n, args.a, args.b, seed=args.seed, **(_count(args, "samples") or {"samples": 100})
+    ),
+}
 
 
 def _cmd_verify(args) -> int:
-    report = _run_suite(args)
+    if args.samples is not None and args.samples < 1:
+        raise BadParamsError(f"--samples must be at least 1, got {args.samples}")
+    report = SUITES[args.suite](args)
     if args.suite == "survey":
         text = report.render()
         summary = {
@@ -156,11 +178,10 @@ def _cmd_verify(args) -> int:
         failed = False  # the survey reports findings; it never fails
     else:
         text = report.to_csv()
-        failures = report.failures()
         summary = {
             "suite": args.suite,
             "rows": len(report.rows),
-            "failures": len(failures),
+            "failures": len(report.failures()),
             "all_pass": report.all_pass,
         }
         failed = not report.all_pass
@@ -189,8 +210,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="spectral radius of graph6 input (stdin or --in)")
     p.add_argument("--in", dest="infile")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=1_000_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
     p.add_argument("--quotient", help="JSON sidecar naming blocks; use its equitable quotient")
     p.set_defaults(func=_cmd_rho)
 
@@ -207,8 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--suite", choices=SUITES, required=True)
     p.add_argument("--out", help="write CSV report here instead of stdout")
     p.add_argument("--corpus", help="graph6 corpus file (oracle suite)")
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--samples", type=int, default=None)
+    p.add_argument("--seed", type=int, default=os.environ.get("FACTORLAB_SEED", "1"))
+    p.add_argument("--samples", type=int)
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--n", type=int, default=12, help="survey order")
     p.add_argument("--a", type=int, default=2, help="survey lower bound")
@@ -218,16 +239,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-        args.seed = _default_seed()
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except Graph6Error as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except FactorLabError as exc:
+    except (FactorLabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

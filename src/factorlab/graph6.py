@@ -99,7 +99,11 @@ def read_graph6(text: str) -> list[Graph]:
 
 def read_graph6_file(path) -> list[Graph]:
     with open(path, "r", encoding="ascii") as fh:
-        return read_graph6(fh.read())
+        try:
+            text = fh.read()
+        except UnicodeDecodeError:
+            raise Graph6Error(f"{path}: non-ASCII byte") from None
+    return read_graph6(text)
 
 
 def write_graph6_file(path, graphs) -> None:

@@ -35,9 +35,17 @@ from .graph import (
     min_degree,
     vertices_of,
 )
-from .graph6 import from_graph6, read_graph6, to_graph6
+from .graph6 import read_graph6, to_graph6
 from .matching import has_perfect_matching
-from .spectral import book_charpoly, quotient, quotient_rho, spectral_radius
+from .spectral import (
+    book_charpoly,
+    degree_size_curve,
+    f_monotone_check,
+    hong_nikiforov_bound,
+    quotient,
+    quotient_rho,
+    spectral_radius,
+)
 
 EQUALITY_BAND = 1e-8
 STRICT_MARGIN = 1e-10
@@ -220,16 +228,11 @@ def _safe_msg(exc: Exception) -> str:
     return str(exc).replace(",", ";").replace("\n", " ")
 
 
-def _sweep_one(args: tuple[str, tuple[tuple[int, int], ...], bool]) -> list[tuple]:
-    g6, param_pairs, matching_check = args
-    g = from_graph6(g6)
-    rows = []
-    valid: list[ParityParams] = []
-    for a, b in param_pairs:
-        if (g.n * a) % 2 != 0:
-            rows.append((g6, g.n, a, b, "skipped_parity", True, "", "", ""))
-            continue
-        valid.append(ParityParams(a, b))
+def _sweep_one(args: tuple[Graph, list[ParityParams], bool]) -> list[tuple]:
+    g, params_list, matching_check = args
+    g6 = to_graph6(g)
+    rows = [(g6, g.n, p.a, p.b, "skipped_parity", True, "", "", "") for p in params_list if g.n * p.a % 2]
+    valid = [p for p in params_list if g.n * p.a % 2 == 0]
     try:
         criterion_verdicts = criterion_scan(g, valid)
     except FactorLabError as exc:
@@ -268,16 +271,13 @@ def sweep_oracle_equivalence(
         suite="oracle",
         columns=("graph6", "n", "a", "b", "status", "pass", "criterion", "search", "matching"),
     )
-    param_pairs = tuple((p.a, p.b) for p in params_list)
-    items = [(to_graph6(g), param_pairs, matching_check) for g in graphs]
+    items = [(g, params_list, matching_check) for g in graphs]
     if jobs > 1:
         with Pool(jobs) as pool:
             chunks = pool.map(_sweep_one, items, chunksize=64)
     else:
         chunks = [_sweep_one(item) for item in items]
-    for chunk in chunks:
-        for row in chunk:
-            report.rows.append(row)
+    report.rows.extend(row for chunk in chunks for row in chunk)
     return report
 
 
@@ -423,8 +423,6 @@ def grid_degree_size_bound(
         suite="lemma2.2",
         columns=("kind", "n", "m", "delta", "rho", "bound", "margin", "pass"),
     )
-    from .spectral import hong_nikiforov_bound
-
     for index in range(samples):
         rng = random.Random(f"{seed}:general:{index}")
         n = rng.randrange(8, 33)
@@ -452,8 +450,6 @@ def grid_bound_monotonicity(samples: int = 400, seed: int = 0) -> GridReport:
     report = GridReport(
         suite="lemma2.3", columns=("n", "m", "grid_len", "nonincreasing", "pass")
     )
-    from .spectral import degree_size_curve, f_monotone_check
-
     rng = random.Random(f"{seed}:monotone")
     for _ in range(samples):
         n = rng.randrange(3, 61)
@@ -505,16 +501,14 @@ def grid_clique_merge_dominance(n_max: int = 14, s_max: int = 3, q_max: int = 4)
     for s in range(1, s_max + 1):
         for q in range(1, q_max + 1):
             for n in range(s + q, n_max + 1):
-                extreme = (n - s - q + 1,) + (1,) * (q - 1)
+                compositions = _partitions_exact(n - s, q)
+                extreme = next(compositions)  # descending order yields one big clique first
                 rho_extreme = spectral_radius(clique_union_join(s, extreme)).rho
-                for sizes in _partitions_exact(n - s, q):
+                report.add(n, s, q, "+".join(map(str, extreme)), rho_extreme, rho_extreme, 0.0, True)
+                for sizes in compositions:
                     rho = spectral_radius(clique_union_join(s, sizes)).rho
-                    if sizes == extreme:
-                        ok = abs(rho - rho_extreme) <= 1e-9
-                        margin = rho_extreme - rho
-                    else:
-                        margin = rho_extreme - rho
-                        ok = rho <= rho_extreme + 1e-9 and margin > STRICT_MARGIN
+                    margin = rho_extreme - rho
+                    ok = rho <= rho_extreme + 1e-9 and margin > STRICT_MARGIN
                     report.add(n, s, q, "+".join(map(str, sizes)), rho, rho_extreme, margin, ok)
     return report
 
@@ -608,22 +602,3 @@ def grid_parity_evenness(trials: int = 100_000, seed: int = 0, block: int = 1000
         done += todo
         block_idx += 1
     return report
-
-
-# suite name -> (runner, name of its sample-count argument, or None for the
-# fixed grids, which take neither a count nor a seed)
-GRIDS = {
-    "lemma2.2": (grid_degree_size_bound, "samples"),
-    "lemma2.3": (grid_bound_monotonicity, "samples"),
-    "lemma2.6": (grid_clique_merge_dominance, None),
-    "lemma2.7": (grid_book_spectral_bound, None),
-    "lemma2.8": (grid_gna_no_factor, None),
-    "eq1": (grid_parity_evenness, "trials"),
-}
-
-
-def lemma_grid(suite: str, **kwargs) -> GridReport:
-    """Run one named verification grid; kwargs pass through to its runner."""
-    if suite not in GRIDS:
-        raise FactorLabError(f"unknown grid suite {suite!r}; choose from {sorted(GRIDS)}")
-    return GRIDS[suite][0](**kwargs)

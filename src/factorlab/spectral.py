@@ -131,8 +131,7 @@ def hong_nikiforov_bound(n: int, m: int, delta: int) -> float:
         raise BadParamsError(f"bound needs minimum degree >= 1, got {delta}")
     if not n * delta <= 2 * m <= n * (n - 1):
         raise BadParamsError(f"inconsistent (n={n}, m={m}, delta={delta})")
-    radicand = 2 * m - n * delta + (delta + 1) ** 2 / 4.0
-    return (delta - 1) / 2.0 + sqrt(radicand)
+    return degree_size_curve(n, m, delta)
 
 
 def degree_size_curve(n: int, m: int, x: float) -> float:

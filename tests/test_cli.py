@@ -188,8 +188,10 @@ class TestCheckParityFactor:
         ["verify", "--suite", "oracle", "--corpus", "{tmp}/missing.g6"],
         ["rho", "--in", "{tmp}/latin.g6"],
         ["verify", "--suite", "eq1", "--samples", "10", "--out", "{tmp}/no/such/dir.csv"],
+        ["verify", "--suite", "lemma2.2", "--samples", "0"],
+        ["verify", "--suite", "eq1", "--samples", "-3"],
     ],
-    ids=["missing-in", "missing-corpus", "non-ascii-in", "unwritable-out"],
+    ids=["missing-in", "missing-corpus", "non-ascii-in", "unwritable-out", "samples-0", "samples-negative"],
 )
 def test_outside_input_is_input_error(capsys, tmp_path, argv):
     (tmp_path / "latin.g6").write_bytes("C~\nC\u00e9\n".encode("utf-8"))
@@ -202,11 +204,9 @@ def test_outside_input_is_input_error(capsys, tmp_path, argv):
     "argv, env_seed",
     [
         (["verify", "--suite", "lemma9.9"], None),
-        (["verify", "--suite", "lemma2.2", "--samples", "0"], None),
-        (["verify", "--suite", "eq1", "--samples", "-3"], None),
         (["verify", "--suite", "eq1", "--samples", "10"], "abc"),
     ],
-    ids=["unknown-suite", "samples-0", "samples-negative", "seed-env-not-int"],
+    ids=["unknown-suite", "seed-env-not-int"],
 )
 def test_verify_usage_error(capsys, monkeypatch, argv, env_seed):
     if env_seed is not None:

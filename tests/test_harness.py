@@ -226,13 +226,3 @@ class TestGrids:
         report = GridReport(suite="demo", columns=("n", "pass"))
         with pytest.raises(FactorLabError):
             report.add(1, 2, 3)
-
-    def test_lemma_grid_dispatch(self):
-        from factorlab import lemma_grid
-
-        report = lemma_grid("eq1", trials=500, seed=1)
-        assert report.suite == "eq1" and report.all_pass
-        report = lemma_grid("lemma2.8", a_values=(2,), n_max=12, decide_max=10)
-        assert report.suite == "lemma2.8"
-        with pytest.raises(FactorLabError):
-            lemma_grid("lemma9.9")
