@@ -99,8 +99,8 @@ class TestRho:
     @pytest.mark.parametrize(
         "content",
         [None, "not json", "[1,2]", '{"x":1}', '{"blocks":[[0,1]]}', '{"blocks":{"x":"ab"}}',
-         '{"blocks":{"x":[-1]}}'],
-        ids=["missing", "not-json", "list", "no-blocks", "blocks-list", "block-str", "negative"],
+         '{"blocks":{"x":[-1]}}', "[" * 100_000],
+        ids=["missing", "not-json", "list", "no-blocks", "blocks-list", "block-str", "negative", "deep"],
     )
     def test_bad_sidecar_is_input_error(self, capsys, monkeypatch, tmp_path, content):
         sidecar = tmp_path / "blocks.json"
