@@ -64,7 +64,7 @@ def _read_blocks(path: str) -> list[int]:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             sidecar = json.load(fh)
-        except ValueError as exc:
+        except (ValueError, RecursionError) as exc:
             raise BadParamsError(f"sidecar {path}: {exc}") from None
     blocks = sidecar.get("blocks") if isinstance(sidecar, dict) else None
     if not isinstance(blocks, dict) or not all(
