@@ -1,6 +1,7 @@
 """Command-line interface: output contracts, exit codes, round-trips."""
 
 import hashlib
+import io
 import json
 
 import pytest
@@ -107,7 +108,7 @@ class TestRho:
         if content is not None:
             sidecar.write_text(content)
         g6 = to_graph6(g_na(14, 3).graph)
-        monkeypatch.setattr("sys.stdin", __import__("io").StringIO(f"{g6}\n{g6}\n"))
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{g6}\n{g6}\n"))
         code, err = run_exit(capsys, ["rho", "--quotient", str(sidecar)])
         assert code == 2
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
