@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from factorlab import bundled_connected_graphs, from_graph6, g_na, to_graph6
+from factorlab import bundled_connected_graphs, cli, from_graph6, g_na, to_graph6
 from factorlab.cli import main
 
 
@@ -191,12 +191,26 @@ class TestCheckParityFactor:
         ["verify", "--suite", "eq1", "--samples", "10", "--out", "{tmp}/no/such/dir.csv"],
         ["verify", "--suite", "lemma2.2", "--samples", "0"],
         ["verify", "--suite", "eq1", "--samples", "-3"],
+        ["verify", "--suite", "oracle", "--corpus", "{tmp}/k2.g6", "--jobs", "0"],
+        ["verify", "--suite", "oracle", "--corpus", "{tmp}/k2.g6", "--jobs", "-5"],
     ],
-    ids=["missing-in", "missing-corpus", "non-ascii-in", "unwritable-out", "samples-0", "samples-negative"],
+    ids=["missing-in", "missing-corpus", "non-ascii-in", "unwritable-out", "samples-0", "samples-negative",
+         "jobs-0", "jobs-negative"],
 )
 def test_outside_input_is_input_error(capsys, tmp_path, argv):
     (tmp_path / "latin.g6").write_bytes("C~\nC\u00e9\n".encode("utf-8"))
+    (tmp_path / "k2.g6").write_text("A_\n")
     code, err = run_exit(capsys, [arg.format(tmp=tmp_path) for arg in argv])
+    assert code == 2
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+def test_unwritable_out_fails_before_the_run(capsys, monkeypatch, tmp_path):
+    def runner(args):
+        pytest.fail("the suite ran before --out was opened")
+
+    monkeypatch.setitem(cli.SUITES, "lemma2.7", runner)
+    code, err = run_exit(capsys, ["verify", "--suite", "lemma2.7", "--out", str(tmp_path / "no" / "r.csv")])
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 

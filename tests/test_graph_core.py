@@ -7,6 +7,7 @@ import pytest
 from factorlab import (
     BadParamsError,
     EmptyGraphError,
+    FactorLabError,
     NonDisjointError,
     complement,
     complete,
@@ -221,6 +222,10 @@ class TestGraphType:
     def test_from_edges_rejects_loop(self):
         with pytest.raises(BadParamsError):
             from_edges(3, [(1, 1)])
+
+    def test_validate_rejects_asymmetric_rows(self):
+        with pytest.raises(FactorLabError, match="asymmetric"):
+            validate(Graph(2, (0b10, 0)))
 
     def test_random_builders_validate(self):
         rng = random.Random(1)
