@@ -41,5 +41,5 @@ print(f"  factor-free records: {len(report.factor_free)} (record 0 is the extrem
 print(f"  exceptions above the threshold: {len(report.exceptions)}")
 print()
 print("first lines of the deterministic report:")
-for line in report.render().splitlines()[:12]:
+for line in report.to_csv().splitlines()[:12]:
     print("   ", line)

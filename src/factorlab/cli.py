@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+from contextlib import nullcontext
 
 from . import harness
 from .errors import BadParamsError, FactorLabError, Graph6Error
@@ -154,46 +155,25 @@ SUITES = {
     "lemma2.8": lambda args: harness.grid_gna_no_factor(),
     "eq1": lambda args: harness.grid_parity_evenness(seed=args.seed, **_count(args, "trials")),
     "survey": lambda args: harness.survey_theorem(
-        args.n, args.a, args.b, seed=args.seed, **(_count(args, "samples") or {"samples": 100})
+        args.n, args.a, args.b, seed=args.seed, **_count(args, "samples")
     ),
 }
 
 
 def _cmd_verify(args) -> int:
-    if args.samples is not None and args.samples < 1:
-        raise BadParamsError(f"--samples must be at least 1, got {args.samples}")
-    report = SUITES[args.suite](args)
-    if args.suite == "survey":
-        text = report.render()
-        summary = {
-            "suite": "survey",
-            "n": report.n,
-            "a": report.a,
-            "b": report.b,
-            "rho_extremal": report.rho_extremal,
-            "factor_free": len(report.factor_free),
-            "exceptions": [r.index for r in report.exceptions],
-            "boundary": [r.index for r in report.boundary],
-        }
-        failed = False  # the survey reports findings; it never fails
-    else:
-        text = report.to_csv()
-        summary = {
-            "suite": args.suite,
-            "rows": len(report.rows),
-            "failures": len(report.failures()),
-            "all_pass": report.all_pass,
-        }
-        failed = not report.all_pass
+    for name in ("samples", "jobs"):
+        value = getattr(args, name)
+        if value is not None and value < 1:
+            raise BadParamsError(f"--{name} must be at least 1, got {value}")
+    # open --out before the run, so an unwritable path fails before minutes of work
+    with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
+        report = SUITES[args.suite](args)
+        fh.write(report.to_csv())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
         print(f"report written to {args.out}", file=sys.stderr)
-    else:
-        sys.stdout.write(text)
-    print(json.dumps(summary, sort_keys=True))
-    print(f"suite {args.suite}: {'FAIL' if failed else 'ok'}", file=sys.stderr)
-    return 1 if failed else 0
+    print(json.dumps(report.summary(), sort_keys=True))
+    print(f"suite {args.suite}: {'ok' if report.all_pass else 'FAIL'}", file=sys.stderr)
+    return 0 if report.all_pass else 1
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -115,13 +115,17 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def validate(g: Graph) -> None:
-    """Full-scan assertion of symmetry, loop-freeness, and edge-count cache."""
-    assert len(g.adj) == g.n
+    """Full-scan check of symmetry, loop-freeness, and edge-count cache; raises BadParamsError."""
+    if len(g.adj) != g.n:
+        raise BadParamsError(f"expected {g.n} adjacency rows, got {len(g.adj)}")
     for v in range(g.n):
-        assert not g.adj[v] >> v & 1, f"loop at {v}"
+        if g.adj[v] >> v & 1:
+            raise BadParamsError(f"loop at {v}")
         for u in iter_bits(g.adj[v]):
-            assert g.adj[u] >> v & 1, f"asymmetric pair ({v},{u})"
-    assert 2 * g.m == sum(g.degrees())
+            if not g.adj[u] >> v & 1:
+                raise BadParamsError(f"asymmetric pair ({v},{u})")
+    if 2 * g.m != sum(g.degrees()):
+        raise BadParamsError(f"edge count {g.m} does not match the degree sum {sum(g.degrees())}")
 
 
 def complete(n: int) -> Graph:

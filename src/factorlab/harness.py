@@ -1,8 +1,9 @@
 """Batch verification machinery: oracle sweeps, bound grids, and the
 desk-scale spectral-threshold survey.
 
-Every runner returns a report object with a ``to_csv`` rendering; failures
-are recorded in rows rather than raised, so a sweep always completes.
+Every runner returns a report with one contract: ``to_csv()`` gives the
+report text, ``summary()`` the JSON summary and ``all_pass`` the verdict.
+Failures are recorded in rows rather than raised, so a sweep always completes.
 Sampling is seeded and per-item seeds are derived from the master seed as
 ``random.Random(f"{seed}:{index}")``, which makes reports byte-identical
 across runs and safe to parallelize.
@@ -12,7 +13,7 @@ from __future__ import annotations
 
 import random
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 from multiprocessing import Pool
 
@@ -38,6 +39,7 @@ from .graph import (
 from .graph6 import read_graph6, to_graph6
 from .matching import has_perfect_matching
 from .spectral import (
+    _radicand,
     book_charpoly,
     degree_size_curve,
     f_monotone_check,
@@ -147,12 +149,15 @@ class GridReport:
 
     @property
     def all_pass(self) -> bool:
-        idx = self.columns.index("pass")
-        return all(bool(row[idx]) for row in self.rows)
+        return not self.failures()
 
     def failures(self) -> list[tuple]:
         idx = self.columns.index("pass")
         return [row for row in self.rows if not row[idx]]
+
+    def summary(self) -> dict:
+        failures = len(self.failures())
+        return {"suite": self.suite, "rows": len(self.rows), "failures": failures, "all_pass": self.all_pass}
 
     def to_csv(self) -> str:
         lines = [",".join(self.columns)]
@@ -326,25 +331,30 @@ class SurveyReport:
     def boundary(self) -> list[SurveyRecord]:
         return [r for r in self.records if r.classification == "boundary"]
 
-    def render(self) -> str:
+    all_pass = True  # the survey reports findings below the theorem's order threshold; it never fails
+
+    def summary(self) -> dict:
+        return {
+            "suite": "survey", "n": self.n, "a": self.a, "b": self.b, "rho_extremal": self.rho_extremal,
+            "factor_free": len(self.factor_free),
+            "exceptions": [r.index for r in self.exceptions],
+            "boundary": [r.index for r in self.boundary],
+        }
+
+    def to_csv(self) -> str:
         lines = [
             f"# survey n={self.n} a={self.a} b={self.b} samples={self.samples} seed={self.seed}",
             f"# hypothesis_n_min={self.hypothesis_n_min} hypothesis_n_min_alt={self.hypothesis_n_min_alt}",
-            f"# below_hypothesis_threshold={str(self.n < self.hypothesis_n_min).lower()}",
-            f"# rho_extremal={self.rho_extremal!r}",
-            f"# rho_extremal_exceeds_clique_bound={str(self.rho_extremal > self.n - self.a - 3).lower()}",
+            f"# below_hypothesis_threshold={_cell(self.n < self.hypothesis_n_min)}",
+            f"# rho_extremal={_cell(self.rho_extremal)}",
+            f"# rho_extremal_exceeds_clique_bound={_cell(self.rho_extremal > self.n - self.a - 3)}",
             f"# factor_free_count={len(self.factor_free)}",
-            f"# max_rho_factor_free={max((r.rho for r in self.factor_free), default=float('nan'))!r}",
+            f"# max_rho_factor_free={_cell(max((r.rho for r in self.factor_free), default=float('nan')))}",
             f"# exceptions={','.join(str(r.index) for r in self.exceptions) or 'none'}",
             f"# boundary={','.join(str(r.index) for r in self.boundary) or 'none'}",
-            "index,graph6,n,m,min_deg,has_factor,rho,rho_extremal,classification,is_gna,detail",
+            ",".join(f.name for f in fields(SurveyRecord)),
         ]
-        for r in self.records:
-            lines.append(
-                f"{r.index},{r.graph6},{r.n},{r.m},{r.min_deg},"
-                f"{str(r.has_factor).lower()},{r.rho!r},{r.rho_extremal!r},"
-                f"{r.classification},{str(r.is_gna).lower()},{r.detail}"
-            )
+        lines.extend(",".join(map(_cell, astuple(r))) for r in self.records)
         return "\n".join(lines) + "\n"
 
 
@@ -379,7 +389,7 @@ def _survey_record(index: int, g: Graph, params: ParityParams, rho_extremal: flo
     )
 
 
-def survey_theorem(n: int, a: int, b: int, samples: int, seed: int) -> SurveyReport:
+def survey_theorem(n: int, a: int, b: int, samples: int = 100, seed: int = 0) -> SurveyReport:
     """Probe the spectral threshold at desk scale: sample connected graphs
     with delta >= a, decide factor existence, and compare each spectral
     radius against the extremal family's.
@@ -456,7 +466,7 @@ def grid_bound_monotonicity(samples: int = 400, seed: int = 0) -> GridReport:
         m = rng.randrange(0, n * (n - 1) // 2 + 1)
         grid = []
         for x in range(n):
-            if 2 * m - n * x + (x + 1) ** 2 / 4.0 >= 0.0:
+            if _radicand(n, m, x) >= 0.0:
                 grid.append(float(x))
             else:
                 break

@@ -79,8 +79,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
 
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, int, float]:
     n = a.shape[0]
-    if n == 1:
-        return float(a[0, 0]), np.ones(1), 0, 0.0
     x = np.ones(n) / sqrt(n)
     for iteration in range(max_iter + 1):
         ax = a @ x
@@ -134,9 +132,13 @@ def hong_nikiforov_bound(n: int, m: int, delta: int) -> float:
     return degree_size_curve(n, m, delta)
 
 
+def _radicand(n: int, m: int, x: float) -> float:
+    return 2 * m - n * x + (x + 1) ** 2 / 4.0
+
+
 def degree_size_curve(n: int, m: int, x: float) -> float:
     """(x-1)/2 + sqrt(2m - n x + (x+1)^2/4), defined where the radicand is >= 0."""
-    radicand = 2 * m - n * x + (x + 1) ** 2 / 4.0
+    radicand = _radicand(n, m, x)
     if radicand < -1e-12:
         raise BadParamsError(f"negative radicand at x={x} for (n={n}, m={m})")
     return (x - 1) / 2.0 + sqrt(max(radicand, 0.0))
@@ -148,11 +150,7 @@ def f_monotone_check(n: int, m: int, x_grid: list[float]) -> bool:
     Grid points where the radicand goes negative (possible for sparse graphs
     at large x) are outside the curve's domain and are skipped.
     """
-    values = [
-        degree_size_curve(n, m, x)
-        for x in x_grid
-        if 2 * m - n * x + (x + 1) ** 2 / 4.0 >= 0.0
-    ]
+    values = [degree_size_curve(n, m, x) for x in x_grid if _radicand(n, m, x) >= 0.0]
     return all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
 
 

@@ -160,7 +160,7 @@ class TestSurvey:
     def test_deterministic_report(self):
         r1 = survey_theorem(n=11, a=2, b=4, samples=8, seed=5)
         r2 = survey_theorem(n=11, a=2, b=4, samples=8, seed=5)
-        assert r1.render() == r2.render()
+        assert r1.to_csv() == r2.to_csv()
 
     def test_extremal_graph_is_record_zero(self):
         report = survey_theorem(n=12, a=2, b=4, samples=5, seed=3)
@@ -186,7 +186,7 @@ class TestSurvey:
         report = survey_theorem(n=12, a=2, b=4, samples=1, seed=1)
         assert report.hypothesis_n_min == max(2 * 4 + 272 + 264, 2 * 16 + 40 + 28 + 34)
         assert report.hypothesis_n_min_alt < report.hypothesis_n_min
-        assert f"hypothesis_n_min={report.hypothesis_n_min}" in report.render()
+        assert f"hypothesis_n_min={report.hypothesis_n_min}" in report.to_csv()
 
 
 class TestGrids:
