@@ -3,6 +3,11 @@
 import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -113,6 +118,17 @@ class TestRho:
         assert code == 2
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "option", [["--max-iter", "-1"], ["--tol", "-1"]], ids=["max-iter-negative", "tol-negative"]
+    )
+    def test_bad_solver_option_is_input_error(self, capsys, monkeypatch, option):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bo\n"))
+        start = time.perf_counter()
+        code, err = run_exit(capsys, ["rho", *option])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
     def test_malformed_graph6_is_input_error(self, capsys, monkeypatch):
         code, _, err = run_cli(capsys, ["rho"], stdin="A_X\n", monkeypatch=monkeypatch)
         assert code == 2
@@ -213,6 +229,49 @@ def test_unwritable_out_fails_before_the_run(capsys, monkeypatch, tmp_path):
     code, err = run_exit(capsys, ["verify", "--suite", "lemma2.7", "--out", str(tmp_path / "no" / "r.csv")])
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+
+class ClosedPipe:
+    """A stdout whose reader has gone away: every write raises BrokenPipeError."""
+
+    def __init__(self, fd):
+        self.fd = fd
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+    def flush(self):
+        pass
+
+    def fileno(self):
+        return self.fd
+
+
+def test_broken_pipe_exits_quietly(capsys, monkeypatch, tmp_path):
+    with open(tmp_path / "sink", "w") as sink:
+        monkeypatch.setattr("sys.stdout", ClosedPipe(sink.fileno()))
+        code = main(["construct", "g-na", "--n", "12", "--a", "2"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_broken_pipe_at_shutdown(unbuffered):
+    # the interpreter flushes stdout again at exit; that flush must not fail either
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "factorlab.cli", "construct", "g-na", "--n", "12", "--a", "2"],
+            stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60, text=True,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 0, proc.stderr
+    assert "Broken pipe" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 @pytest.mark.parametrize(

@@ -71,8 +71,12 @@ class TestSpectralRadius:
 
     def test_perron_positive_on_connected(self):
         rng = random.Random(4)
-        for _ in range(20):
-            g = random_connected(9, 0.35, rng)
+        graphs = [random_connected(9, 0.35, rng) for _ in range(20)]
+        # K16 with a pendant P16: the far end of the path carries Perron
+        # entries below double precision, which LAPACK may return as zeros
+        clique = [(u, v) for u in range(16) for v in range(u + 1, 16)]
+        graphs.append(from_edges(32, clique + [(v, v + 1) for v in range(15, 31)]))
+        for g in graphs:
             r = spectral_radius(g)
             assert np.all(r.perron > 0)
             assert abs(np.linalg.norm(r.perron) - 1.0) < 1e-12
@@ -93,6 +97,17 @@ class TestSpectralRadius:
     def test_not_converged(self):
         with pytest.raises(NotConvergedError):
             spectral_radius(path(30), tol=1e-12, max_iter=3)
+
+    @pytest.mark.parametrize(
+        "kwargs", [{"max_iter": -1}, {"tol": -1.0}, {"tol": float("nan")}],
+        ids=["max-iter-negative", "tol-negative", "tol-nan"],
+    )
+    def test_bad_solver_params(self, kwargs):
+        # no residual meets a negative or NaN tol: reject at once, do not spin
+        start = time.perf_counter()
+        with pytest.raises(BadParamsError):
+            spectral_radius(path(3), **kwargs)
+        assert time.perf_counter() - start < 1.0
 
     def test_residual_contract(self):
         rng = random.Random(12)
