@@ -104,6 +104,10 @@ def spectral_radius(
     """
     if g.n == 0:
         raise BadParamsError("spectral radius of the empty graph is undefined")
+    if max_iter < 0:
+        raise BadParamsError(f"max_iter must be at least 0, got {max_iter}")
+    if not tol >= 0:  # also rejects NaN, which no residual can meet
+        raise BadParamsError(f"tol must be at least 0, got {tol}")
     a = adjacency_matrix(g)
     comps = components(g)
     if len(comps) == 1:
