@@ -221,7 +221,16 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe surfaces here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head -1`): stop quietly too, and point
+        # stdout at devnull so the flush at interpreter exit cannot fail again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 0
     except Graph6Error as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
