@@ -35,7 +35,7 @@ from factorlab import (
     star,
     survey_theorem,
 )
-from factorlab.spectral import QuotientMatrix, charpoly_coefficients
+from factorlab.spectral import EIGH_MAX_N, QuotientMatrix, charpoly_coefficients
 
 
 def random_graph(n, p, rng):
@@ -95,8 +95,20 @@ class TestSpectralRadius:
         assert r.rho == 0.0 and r.residual == 0.0
 
     def test_not_converged(self):
+        # above the crossover: the uniform start needs far more than 3 steps
         with pytest.raises(NotConvergedError):
-            spectral_radius(path(30), tol=1e-12, max_iter=3)
+            spectral_radius(path(EIGH_MAX_N + 8), tol=1e-12, max_iter=3)
+
+    def test_not_converged_from_lapack_start(self):
+        # below the crossover no rounded start meets tol = 1e-300
+        with pytest.raises(NotConvergedError):
+            spectral_radius(path(30), tol=1e-300, max_iter=3)
+
+    def test_lapack_start_below_crossover(self):
+        # the LAPACK Perron vector meets the default tol before any step;
+        # one order above the crossover the uniform start takes steps
+        assert spectral_radius(path(EIGH_MAX_N)).iterations == 0
+        assert spectral_radius(path(EIGH_MAX_N + 1)).iterations > 0
 
     @pytest.mark.parametrize(
         "kwargs", [{"max_iter": -1}, {"tol": -1.0}, {"tol": float("nan")}],
