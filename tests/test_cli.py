@@ -346,12 +346,12 @@ class TestVerify:
 # sha256 of `verify` stdout (report plus summary line), one per suite run.
 # lemma2.7 is left out: its fixed grid takes several seconds.
 GOLDEN_VERIFY_DIGESTS = {
-    "lemma2.2": "dfec55678fbe27462e871389bbd85d52a34690748b39aec08c8c67598c52d864",
+    "lemma2.2": "4c16941662c14c27e94d1590ec7b5a3c91260b9e99d348e6cd656c047be48ae9",
     "lemma2.3": "68385db4032f3ed9176a3139ea8d102ab285fc0748ed2b4cc9118c2b3280d7bc",
     "eq1": "c0a4b498b27573e67e3f914e65aeecc4c7472bf1232c9a05c89e49417ddf1033",
-    "survey": "786b839ac3fc0726ab42bc3264f490f84e95fc4192b59defd4fa9ac24b5747f8",
+    "survey": "d2e4f35043ed8b1ff56ff50b7f661db92b84a7bb5d75e04afb8f958d81839dd6",
     "oracle": "8862a31ee25d148a8e3609ade66b4ae5a69b3923d82a60d292453b77551f385a",
-    "lemma2.6": "8c89ce2ebaa6103ce4faa9827da7ffeaec302faead811c30349d32630a6e05a8",
+    "lemma2.6": "0942674c9ecdbaf1555857adcadff5ea11c817ce77610bfdfcb7d52dd23b5e28",
     "lemma2.8": "b2b8045e7128e991e4ba2e619d699f7a581f1ea5dbc422348bc12ee8bd7df316",
 }
 

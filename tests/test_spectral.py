@@ -338,9 +338,9 @@ class TestCharpoly:
 # cells of lemma 2.6 (connected), lemma 2.2 (8 of its 420 graphs are
 # disconnected at seed 0) and the survey.  Pins the power-iteration digits.
 GOLDEN_SPECTRAL_DIGESTS = {
-    "lemma2.6": "dd6bd03e9d3251bc921a2dae6d40e00744e2c719361bed8a2cfc7ef184114e2b",
-    "lemma2.2": "a10978aa4ddaa1f1de3bd7e84511ea6c87d0ffd628c1bc8470530ed3f01ed58c",
-    "survey": "abf232690754dafb73be4a8155057ab4de3239824e02e6f02e6877234433f214",
+    "lemma2.6": "9004765cdc58ce94fe52e6ccf9cc7f15a02998865d5d47708aec04689b72d1f2",
+    "lemma2.2": "7f9a0fbd68ea5e458207f1020c3b67fb591d5b789a0353a32020e6d6cdc34f01",
+    "survey": "c3fc54f1f6fd6e5624607d43fc34fedea1eae50b0ac41f4fc5d47836ffb11691",
 }
 
 
