@@ -95,14 +95,11 @@ class TestSpectralRadius:
         assert r.rho == 0.0 and r.residual == 0.0
 
     def test_not_converged(self):
-        # above the crossover: the uniform start needs far more than 3 steps
-        with pytest.raises(NotConvergedError):
-            spectral_radius(path(EIGH_MAX_N + 8), tol=1e-12, max_iter=3)
-
-    def test_not_converged_from_lapack_start(self):
-        # below the crossover no rounded start meets tol = 1e-300
-        with pytest.raises(NotConvergedError):
-            spectral_radius(path(30), tol=1e-300, max_iter=3)
+        # above the crossover the uniform start needs far more than 3 steps;
+        # below it no rounded LAPACK start meets tol = 1e-300
+        for g, tol in ((path(EIGH_MAX_N + 8), 1e-12), (path(30), 1e-300)):
+            with pytest.raises(NotConvergedError):
+                spectral_radius(g, tol=tol, max_iter=3)
 
     def test_lapack_start_below_crossover(self):
         # the LAPACK Perron vector meets the default tol before any step;
