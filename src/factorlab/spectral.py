@@ -15,9 +15,9 @@ loses.
 Quotient spectral radii for matrices up to 8x8 are exact: a LAPACK
 eigenvalue brackets the Perron root, a sign change of the integer
 characteristic polynomial (Berkowitz) certifies the bracket, and bisection
-narrows it to adjacent floats.  Bisecting blindly
-inside [min row sum, max row sum] would be unsound because subdominant
-real eigenvalues may sit above the minimum row sum.
+narrows it to adjacent floats.  Bisecting blindly inside [min row sum,
+max row sum] would be unsound because subdominant real eigenvalues may sit
+above the minimum row sum.
 """
 
 from __future__ import annotations
