@@ -119,7 +119,8 @@ class TestRho:
         assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
 
     @pytest.mark.parametrize(
-        "option", [["--max-iter", "-1"], ["--tol", "-1"]], ids=["max-iter-negative", "tol-negative"]
+        "option", [["--max-iter", "-1"], ["--tol", "-1"], ["--tol", "0"]],
+        ids=["max-iter-negative", "tol-negative", "tol-zero"],
     )
     def test_bad_solver_option_is_input_error(self, capsys, monkeypatch, option):
         monkeypatch.setattr("sys.stdin", io.StringIO("Bo\n"))

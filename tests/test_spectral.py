@@ -23,6 +23,7 @@ from factorlab import (
     edge_rotation,
     f_monotone_check,
     from_edges,
+    from_graph6,
     g_na,
     grid_clique_merge_dominance,
     grid_degree_size_bound,
@@ -100,6 +101,17 @@ class TestSpectralRadius:
         for g, tol in ((path(EIGH_MAX_N + 8), 1e-12), (path(30), 1e-300)):
             with pytest.raises(NotConvergedError):
                 spectral_radius(g, tol=tol, max_iter=3)
+
+    @pytest.mark.parametrize(
+        "g", [from_graph6("Bo"), cycle(6), complete(5), path(EIGH_MAX_N + 8)], ids=["Bo", "C6", "K5", "P40"]
+    )
+    def test_tol_below_rounding_floor_stops(self, g):
+        # no residual gets below the rounding floor: stop there, do not spin
+        # through the whole max_iter budget
+        start = time.perf_counter()
+        with pytest.raises(NotConvergedError):
+            spectral_radius(g, tol=0.0)
+        assert time.perf_counter() - start < 1.0
 
     def test_lapack_start_below_crossover(self):
         # the LAPACK Perron vector meets the default tol before any step;
