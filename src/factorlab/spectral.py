@@ -39,6 +39,7 @@ from .graph import Graph, VertexSet, components, iter_bits, mask_of, vertices_of
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
 EIGH_MAX_N = 32  # largest component order started from the LAPACK Perron vector
+STALL_STEPS = 100  # steps without a new least residual, at the rounding floor, before giving up
 
 
 @dataclass(frozen=True)
@@ -86,6 +87,9 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return bits.astype(float)
 
 
+_EPS = float(np.finfo(float).eps)
+
+
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, int, float]:
     n = a.shape[0]
     x = np.ones(n) / sqrt(n)
@@ -93,12 +97,21 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int) -> tuple[float, n
         top = np.abs(np.linalg.eigh(a)[1][:, -1])
         if top.all():  # a zero entry would be returned as is if it met tol at once
             x = top
+    best, best_at = float("inf"), 0
     for iteration in range(max_iter + 1):
         ax = a @ x
         rho = float(x @ ax)
         residual = float(np.max(np.abs(ax - rho * x)))
         if residual <= tol:
             return rho, x, iteration, residual
+        if residual < best:
+            best, best_at = residual, iteration
+        elif iteration - best_at >= STALL_STEPS and best <= n * _EPS * (abs(rho) + 1):
+            # rounding noise, not convergence, now sets the residual
+            raise NotConvergedError(
+                f"power iteration: residual {residual:.3e} > tol {tol:.3e} at the rounding floor"
+                f" after {iteration} iterations"
+            )
         y = ax + x  # one (A + I) step
         x = y / np.linalg.norm(y)
     raise NotConvergedError(
