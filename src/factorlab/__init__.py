@@ -24,6 +24,7 @@ from .factors import (
     a_odd_count,
     criterion_scan,
     decide_by_criterion,
+    decide_by_matching,
     decide_by_search,
     eta,
     eta_gf,

@@ -14,7 +14,7 @@ from contextlib import nullcontext
 
 from . import harness
 from .errors import BadParamsError, FactorLabError, Graph6Error
-from .factors import ParityParams, decide_by_criterion, decide_by_search
+from .factors import ParityParams, decide_by_criterion, decide_by_matching, decide_by_search
 from .families import book_family, g_na, h_nab, odd_1b
 from .graph import MAX_VERTICES, mask_of, vertices_of
 from .graph6 import read_graph6, read_graph6_file, to_graph6
@@ -100,8 +100,14 @@ def _cmd_rho(args) -> int:
     return 0
 
 
+def _certificate(cert) -> dict:
+    return {"edges": [list(e) for e in cert.edges], "degrees": list(cert.degrees)}
+
+
 def _cmd_check(args) -> int:
     params = ParityParams(args.a, args.b)
+    if args.method == "matching" and args.no_parity:
+        raise BadParamsError("--method matching decides parity factors only; drop --no-parity")
     graphs = _read_input_graphs(args)
     for g in graphs:
         result: dict = {"n": g.n, "m": g.m, "a": args.a, "b": args.b}
@@ -121,10 +127,12 @@ def _cmd_check(args) -> int:
             v = decide_by_search(g, params, parity=not args.no_parity, force=args.force)
             result["search"] = "exists" if v.exists else "no_factor"
             if v.certificate is not None:
-                result["certificate"] = {
-                    "edges": [list(e) for e in v.certificate.edges],
-                    "degrees": list(v.certificate.degrees),
-                }
+                result["certificate"] = _certificate(v.certificate)
+        if args.method == "matching":  # no size cap, so --force does not apply
+            v = decide_by_matching(g, params)
+            result["matching"] = "exists" if v.exists else "no_factor"
+            if v.certificate is not None:
+                result["certificate"] = _certificate(v.certificate)
         if args.method == "both":
             result["agree"] = result["criterion"] == result["search"]
         print(json.dumps(result, sort_keys=True))
@@ -198,9 +206,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check-parity-factor", help="decide parity [a,b]-factor existence")
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
-    p.add_argument("--method", choices=("criterion", "search", "both"), default="both")
-    p.add_argument("--force", action="store_true", help="lift the soft size limits")
-    p.add_argument("--no-parity", action="store_true", help="search for a plain [a,b]-factor")
+    p.add_argument(
+        "--method", choices=("criterion", "search", "both", "matching"), default="both",
+        help="both runs criterion and search; matching is the polynomial parity gadget",
+    )
+    p.add_argument("--force", action="store_true", help="lift the soft size limits of criterion and search")
+    p.add_argument("--no-parity", action="store_true", help="search for a plain [a,b]-factor (not with matching)")
     p.add_argument("--in", dest="infile")
     p.set_defaults(func=_cmd_check)
 

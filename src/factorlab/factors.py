@@ -1,4 +1,4 @@
-"""Parity [a,b]-factor existence decided two independent ways.
+"""Parity [a,b]-factor existence decided three independent ways.
 
 ``decide_by_criterion`` sweeps every assignment of vertices to (S, T,
 neither) and evaluates the deficiency
@@ -10,8 +10,13 @@ graph has a parity [a,b]-factor iff eta is nonnegative for every disjoint
 pair; a violating pair (eta <= -2) is returned as a machine-checkable
 witness.  ``decide_by_search`` instead backtracks over edge subsets with
 degree-feasibility pruning and returns an explicit certificate when a
-factor exists.  The two routes share nothing beyond the graph type, so they
-cross-validate each other.
+factor exists.  Both are exponential.  ``decide_by_matching`` is
+polynomial: a parity factor is a general factor whose allowed degrees have
+gaps of one, so it exists iff the parity gadget (Cornuejols, "General
+factors of graphs", 1988) has a perfect matching, which the blossom matcher
+of ``matching`` decides; a factor comes back as a re-checked certificate,
+no factor without a witness.  The three routes share nothing beyond the
+graph type, so they cross-validate each other.
 """
 
 from __future__ import annotations
@@ -25,12 +30,14 @@ from operator import or_
 import numpy as np
 
 from .errors import (
+    FactorLabError,
     InvalidGFError,
     NonDisjointError,
     ParityPreconditionError,
     SizeLimitError,
 )
 from .graph import Graph, VertexSet, components, iter_bits, mask_of
+from .matching import max_matching
 
 CRITERION_VERTEX_LIMIT = 18
 CRITERION_TABLE_LIMIT = 24  # force=True stops here: 2^n-entry tables, ~12 bytes each
@@ -302,6 +309,72 @@ def _violating_t(adj, xs, vs, ps, orsuf, suffmin, acc0, par0):
             stack.append((j, t_mask, acc, par))
             t_mask, acc, par = t2, acc2, par2
     return None
+
+
+def _parity_gadget(g: Graph, lo, hi) -> tuple[list[list[int]], int, list[tuple[int, int]]] | None:
+    """G's parity gadget under windows [lo(v), hi(v)]: its adjacency lists,
+    the first outer vertex and G's edges; None when some d(v) < lo(v).
+
+    A vertex v of degree d, with b' its largest allowed degree <= d, gets
+    d - b' inner vertices joined to its d outer ones, and b' - lo(v) more
+    that are also joined to each other.  Edge i = (u, w) of G becomes outer
+    vertices first + 2i (at u) and first + 2i + 1 (at w), joined.  A perfect
+    matching pairs every inner vertex; b' - lo(v) - k of the clique ones
+    pair among themselves, an even number, so d - b' + k outer vertices of v
+    go to inner ones and the edges whose two outer vertices are matched give
+    v the degree b' - k, one of lo(v), lo(v) + 2, ..., b'.  Inner vertices
+    come first, so a greedy start gives each its first free outer vertex and
+    then keeps the edges whose two outer vertices are both left.
+    """
+    edges = g.edges()
+    degrees = g.degrees()
+    if any(d < low for d, low in zip(degrees, lo)):
+        return None
+    first = sum(degrees) - sum(lo)
+    ends: list[list[int]] = [[] for _ in range(g.n)]
+    for i, (u, w) in enumerate(edges):
+        ends[u].append(first + 2 * i)
+        ends[w].append(first + 2 * i + 1)
+    nbrs: list[list[int]] = []
+    inner = []
+    for v, d in enumerate(degrees):
+        top = hi[v] if d >= hi[v] else d - (d - lo[v]) % 2
+        start = len(nbrs)
+        clique = range(start + d - top, start + d - lo[v])
+        nbrs += [ends[v]] * (d - top)  # shared: never mutated
+        nbrs += [ends[v] + [y for y in clique if y != x] for x in clique]
+        inner.append(range(start, clique.stop))
+    for i, (u, w) in enumerate(edges):
+        nbrs.append([first + 2 * i + 1, *inner[u]])
+        nbrs.append([first + 2 * i, *inner[w]])
+    return nbrs, first, edges
+
+
+def decide_by_matching(g: Graph, params: ParityParams) -> Verdict:
+    """Exists iff the parity gadget of G has a perfect matching.
+
+    Polynomial, with no size cap: the gadget has O(sum of d(v)^2) edges and
+    the blossom matcher runs in O(V^3) on it.  A factor is returned as the
+    certificate the matching encodes, re-checked by ``verify_certificate``
+    before it is returned; no factor comes without a witness.
+    """
+    params.validate_for(g.n)
+    gadget = _parity_gadget(g, (params.a,) * g.n, (params.b,) * g.n)
+    if gadget is None:
+        return Verdict(exists=False)
+    nbrs, first, edges = gadget
+    mate = max_matching(nbrs)
+    if -1 in mate:
+        return Verdict(exists=False)
+    chosen = tuple(e for i, e in enumerate(edges) if mate[first + 2 * i] == first + 2 * i + 1)
+    degrees = [0] * g.n
+    for u, w in chosen:
+        degrees[u] += 1
+        degrees[w] += 1
+    cert = FactorCertificate(edges=chosen, degrees=tuple(degrees))
+    if not verify_certificate(g, cert, params):
+        raise FactorLabError("matching decider: the gadget's perfect matching gave an invalid certificate")
+    return Verdict(exists=True, certificate=cert)
 
 
 def decide_by_search(

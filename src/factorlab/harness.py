@@ -24,6 +24,7 @@ from .factors import (
     ParityParams,
     _deficiency,
     criterion_scan,
+    decide_by_matching,
     decide_by_search,
     eta,
 )
@@ -372,7 +373,14 @@ def _classify(rho: float, rho_extremal: float) -> str:
 
 
 def _survey_record(index: int, g: Graph, params: ParityParams, rho_extremal: float) -> SurveyRecord:
-    verdict = criterion_scan(g, [params])[0]
+    verdict = decide_by_matching(g, params)
+    if not verdict.exists:
+        verdict = criterion_scan(g, [params])[0]  # for the witness
+        if verdict.exists:
+            raise FactorLabError(
+                f"survey record {index} ({to_graph6(g)}): the matching decider finds no factor,"
+                " the criterion sweep finds one"
+            )
     rho = spectral_radius(g).rho
     if verdict.exists:
         detail = "eta>=0"
@@ -400,6 +408,13 @@ def survey_theorem(n: int, a: int, b: int, samples: int = 100, seed: int = 0) ->
     """Probe the spectral threshold at desk scale: sample connected graphs
     with delta >= a, decide factor existence, and compare each spectral
     radius against the extremal family's.
+
+    Each record is decided by ``decide_by_matching`` first: a factor there
+    comes with a certificate that ``verify_certificate`` has accepted, and
+    the record reads ``eta>=0``.  Only a factor-free record pays the 3^n
+    ``criterion_scan``, which supplies its witness; should the sweep find a
+    factor instead, the two exact deciders disagree and ``FactorLabError``
+    is raised rather than either answer kept.
 
     The extremal graph itself is always record 0.  Results below the
     theorem's order threshold are reported, never asserted; exceptions are

@@ -167,6 +167,29 @@ class TestCheckParityFactor:
         assert data["search"] == "exists"
         assert len(data["certificate"]["edges"]) == 6
 
+    def test_matching_method(self, capsys, monkeypatch):
+        from factorlab import cycle
+
+        g6s = [to_graph6(g_na(12, 2).graph), to_graph6(cycle(6))]
+        code, out, _ = run_cli(
+            capsys,
+            ["check-parity-factor", "--a", "2", "--b", "4", "--method", "matching"],
+            stdin="\n".join(g6s) + "\n",
+            monkeypatch=monkeypatch,
+        )
+        assert code == 0
+        first, second = map(json.loads, out.strip().split("\n"))
+        assert first == {"a": 2, "b": 4, "m": 34, "matching": "no_factor", "n": 12}
+        assert second["matching"] == "exists"
+        assert second["certificate"] == {"edges": [[0, 1], [0, 5], [1, 2], [2, 3], [3, 4], [4, 5]], "degrees": [2] * 6}
+
+    def test_matching_refuses_no_parity(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("Bo\n"))
+        code, err = run_exit(capsys, ["check-parity-factor", "--a", "2", "--b", "4", "--method", "matching",
+                                      "--no-parity"])
+        assert code == 2
+        assert len(err.strip().splitlines()) == 1 and "--no-parity" in err
+
     def test_identical_outputs_for_identical_inputs(self, capsys, monkeypatch):
         g6 = to_graph6(g_na(11, 2).graph)
         argv = ["check-parity-factor", "--a", "2", "--b", "4", "--method", "both"]

@@ -24,6 +24,7 @@ from factorlab import (
     criterion_scan,
     cycle,
     decide_by_criterion,
+    decide_by_matching,
     decide_by_search,
     eta,
     eta_gf,
@@ -38,6 +39,16 @@ from factorlab import (
     verify_certificate,
     vertices_of,
 )
+from factorlab import factors
+from factorlab.errors import FactorLabError
+from factorlab.matching import max_matching
+
+try:
+    import networkx as nx
+except ImportError:  # cross-check is optional
+    nx = None
+
+PAIRS = [ParityParams(*ab) for ab in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))]
 
 
 def random_graph(n, p, rng):
@@ -489,3 +500,58 @@ class TestMatchingOracle:
         g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
         assert max_matching_size(g) == 3
         assert has_perfect_matching(g)
+
+    @pytest.mark.skipif(nx is None, reason="networkx unavailable")
+    def test_blossom_against_networkx(self):
+        # the whole n <= 8 corpus, then sparse seeded graphs up to n = 60, where
+        # odd cycles make blossoms
+        rng = random.Random(31)
+        graphs = [g for n in range(1, 9) for g in bundled_connected_graphs(n)]
+        graphs += [random_graph(rng.randrange(2, 61), rng.choice([0.03, 0.06, 0.1, 0.2]), rng) for _ in range(200)]
+        for g in graphs:
+            mate = max_matching([vertices_of(row) for row in g.adj])
+            assert all(u < 0 or (mate[u] == v and g.has_edge(u, v)) for v, u in enumerate(mate))
+            ref = nx.Graph()
+            ref.add_nodes_from(range(g.n))
+            ref.add_edges_from(g.edges())
+            expected = len(nx.max_weight_matching(ref, maxcardinality=True))
+            assert sum(u >= 0 for u in mate) // 2 == expected == max_matching_size(g)
+
+
+class TestDecideByMatching:
+    def test_agrees_with_criterion_on_corpus(self):
+        # n <= 7 corpus x the six acceptance pairs; every certificate re-checked
+        for n in range(1, 8):
+            valid = [p for p in PAIRS if n * p.a % 2 == 0]
+            for g in bundled_connected_graphs(n):
+                for p, cv in zip(valid, criterion_scan(g, valid)):
+                    mv = decide_by_matching(g, p)
+                    assert mv.exists == cv.exists, (to_graph6(g), p)
+                    assert mv.witness is None
+                    assert (mv.certificate is not None) == mv.exists
+                    if mv.exists:
+                        assert verify_certificate(g, mv.certificate, p)
+
+    def test_gna_past_the_sweep_cap(self):
+        # no parity factor at any order, including far above the criterion's n <= 18
+        for n, a in ((40, 2), (42, 3)):
+            assert not decide_by_matching(g_na(n, a).graph, ParityParams(a, a + 2)).exists
+
+    def test_degree_below_a(self):
+        assert not decide_by_matching(star(6), ParityParams(2, 4)).exists
+
+    def test_sampled_n100_certificate(self):
+        params = ParityParams(2, 4)
+        g = sample_connected_min_degree(100, 2, random.Random("matching:100"))
+        v = decide_by_matching(g, params)
+        assert v.exists and verify_certificate(g, v.certificate, params)
+
+    def test_parity_precondition(self):
+        with pytest.raises(ParityPreconditionError):
+            decide_by_matching(complete(5), ParityParams(1, 1))
+
+    def test_rejected_certificate_raises(self, monkeypatch):
+        # the certificate is re-checked before it is returned, never trusted
+        monkeypatch.setattr(factors, "verify_certificate", lambda *args: False)
+        with pytest.raises(FactorLabError):
+            decide_by_matching(cycle(6), ParityParams(2, 2))

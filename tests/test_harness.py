@@ -29,6 +29,8 @@ from factorlab import (
     sweep_oracle_equivalence,
     to_graph6,
 )
+from factorlab import harness
+from factorlab.factors import Verdict
 from factorlab.harness import GridReport, sample_regular
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
@@ -181,6 +183,14 @@ class TestSurvey:
             g = from_graph6(record.graph6)
             verdict = decide_by_criterion(g, ParityParams(2, 4))
             assert verdict.exists == record.has_factor
+
+    def test_deciders_disagreeing_raises(self, monkeypatch):
+        # record 0, g_na, has no factor; a sweep claiming one is not believed
+        monkeypatch.setattr(
+            harness, "criterion_scan", lambda g, params_list, force=False: [Verdict(exists=True)] * len(params_list)
+        )
+        with pytest.raises(FactorLabError):
+            survey_theorem(n=12, a=2, b=4, samples=1, seed=0)
 
     def test_hypothesis_metadata(self):
         report = survey_theorem(n=12, a=2, b=4, samples=1, seed=1)
