@@ -40,6 +40,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
 EIGH_MAX_N = 32  # largest component order started from the LAPACK Perron vector
 STALL_STEPS = 100  # steps without a new least residual, at the rounding floor, before giving up
+_EPS = float(np.finfo(float).eps)
 
 
 @dataclass(frozen=True)
@@ -87,9 +88,6 @@ def adjacency_matrix(g: Graph) -> np.ndarray:
     return bits.astype(float)
 
 
-_EPS = float(np.finfo(float).eps)
-
-
 def _power_iteration(a: np.ndarray, tol: float, max_iter: int) -> tuple[float, np.ndarray, int, float]:
     n = a.shape[0]
     x = np.ones(n) / sqrt(n)
@@ -128,9 +126,12 @@ def spectral_radius(
     value of LAPACK's top eigenvector, larger ones (and a LAPACK vector with
     a zero entry) from the uniform vector.  Every result, whatever its start,
     meets the same test max|Ax - rho x| <= tol within ``max_iter`` steps, or
-    ``NotConvergedError`` is raised.  ``iterations`` counts the (A + I) steps
-    taken, summed over components; 0 means the start vector itself met the
-    test, so rho is its Rayleigh quotient.
+    ``NotConvergedError`` is raised: at the budget's end, or sooner once the
+    least residual sits at the rounding floor (about n eps rho) and has not
+    improved for ``STALL_STEPS`` steps, as it does for any tol below it.
+    ``iterations`` counts the (A + I) steps taken, summed over components; 0
+    means the start vector itself met the test, so rho is its Rayleigh
+    quotient.
 
     Disconnected input is handled per component (max taken); the Perron
     vector is then supported on the winning component only and the strict

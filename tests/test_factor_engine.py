@@ -537,9 +537,6 @@ class TestDecideByMatching:
         for n, a in ((40, 2), (42, 3)):
             assert not decide_by_matching(g_na(n, a).graph, ParityParams(a, a + 2)).exists
 
-    def test_degree_below_a(self):
-        assert not decide_by_matching(star(6), ParityParams(2, 4)).exists
-
     def test_sampled_n100_certificate(self):
         params = ParityParams(2, 4)
         g = sample_connected_min_degree(100, 2, random.Random("matching:100"))
