@@ -17,8 +17,6 @@ from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 from multiprocessing import Pool
 
-import numpy as np
-
 from .errors import FactorLabError, SamplerExhaustedError
 from .factors import (
     ParityParams,
@@ -70,19 +68,14 @@ def bundled_connected_graphs(n: int) -> list[Graph]:
 
 
 def _gnp(n: int, p: float, rng: random.Random) -> Graph:
-    """G(n,p), drawing one rng.random() per pair u < v in lexicographic order.
-
-    The draws come in one array; a boolean mask fills the upper triangle in
-    the same row-major order, and the packed rows become the bitmasks.
-    """
-    draws = np.fromiter(iter(rng.random, -1.0), float, n * (n - 1) // 2) < p  # random() never returns -1
-    idx = np.arange(n)
-    adj = np.zeros((n, n), dtype=bool)
-    adj[idx[:, None] < idx] = draws
-    adj |= adj.T
-    width = (n + 7) // 8
-    packed = np.packbits(adj, axis=1, bitorder="little").tobytes()
-    return Graph(n, [int.from_bytes(packed[v * width : (v + 1) * width], "little") for v in range(n)])
+    """G(n,p), drawing one rng.random() per pair u < v in lexicographic order."""
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, rows)
 
 
 def sample_connected_min_degree(
