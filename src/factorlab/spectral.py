@@ -39,7 +39,7 @@ from .graph import Graph, VertexSet, components, iter_bits, mask_of, vertices_of
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
 EIGH_MAX_N = 32  # largest component order started from the LAPACK Perron vector
-STALL_STEPS = 100  # steps without a new least residual, at the rounding floor, before giving up
+STALL_STEPS = 100  # steps without a new least residual, with tol below the rounding floor, before giving up
 _EPS = float(np.finfo(float).eps)
 
 
@@ -104,11 +104,11 @@ def _power_iteration(a: np.ndarray, tol: float, max_iter: int) -> tuple[float, n
             return rho, x, iteration, residual
         if residual < best:
             best, best_at = residual, iteration
-        elif iteration - best_at >= STALL_STEPS and best <= n * _EPS * (abs(rho) + 1):
+        elif iteration - best_at >= STALL_STEPS and tol < sqrt(n) * _EPS * (abs(rho) + 1):
             # rounding noise, not convergence, now sets the residual
             raise NotConvergedError(
-                f"power iteration: residual {residual:.3e} > tol {tol:.3e} at the rounding floor"
-                f" after {iteration} iterations"
+                f"power iteration: residual {residual:.3e} > tol {tol:.3e}, below the rounding floor,"
+                f" stopped improving after {iteration} iterations"
             )
         y = ax + x  # one (A + I) step
         x = y / np.linalg.norm(y)
@@ -126,9 +126,11 @@ def spectral_radius(
     value of LAPACK's top eigenvector, larger ones (and a LAPACK vector with
     a zero entry) from the uniform vector.  Every result, whatever its start,
     meets the same test max|Ax - rho x| <= tol within ``max_iter`` steps, or
-    ``NotConvergedError`` is raised: at the budget's end, or sooner once the
-    least residual sits at the rounding floor (about n eps rho) and has not
-    improved for ``STALL_STEPS`` steps, as it does for any tol below it.
+    ``NotConvergedError`` is raised: at the budget's end, or sooner when tol
+    lies below the rounding floor estimate sqrt(n) eps (rho + 1) and the
+    least residual has not improved for ``STALL_STEPS`` steps.  That estimate
+    stays below ``DEFAULT_TOL`` for every order up to ``MAX_VERTICES``, so a
+    run at the default tol or above never takes the early stop.
     ``iterations`` counts the (A + I) steps taken, summed over components; 0
     means the start vector itself met the test, so rho is its Rayleigh
     quotient.

@@ -36,7 +36,9 @@ from factorlab import (
     star,
     survey_theorem,
 )
-from factorlab.spectral import EIGH_MAX_N, QuotientMatrix, charpoly_coefficients
+from factorlab import spectral
+from factorlab.graph import MAX_VERTICES
+from factorlab.spectral import DEFAULT_TOL, EIGH_MAX_N, QuotientMatrix, charpoly_coefficients
 
 
 def random_graph(n, p, rng):
@@ -112,6 +114,20 @@ class TestSpectralRadius:
         with pytest.raises(NotConvergedError):
             spectral_radius(g, tol=0.0)
         assert time.perf_counter() - start < 1.0
+
+    def test_default_tol_never_takes_rounding_floor_stop(self, monkeypatch):
+        # K_495 and K_505 joined by an edge: n = 1000, rho = 504, 1,111 steps at
+        # the default tol, where n eps (rho + 1) would lie above tol.  The
+        # sqrt(n) eps (rho + 1) floor estimate stays below DEFAULT_TOL up to
+        # MAX_VERTICES, so the result is that of the loop with no early stop
+        assert math.sqrt(MAX_VERTICES) * np.finfo(float).eps * MAX_VERTICES < DEFAULT_TOL
+        edges = [(u, v) for lo, hi in ((0, 495), (495, 1000)) for u in range(lo, hi) for v in range(u + 1, hi)]
+        g = from_edges(1000, edges + [(494, 495)])
+        r = spectral_radius(g)
+        monkeypatch.setattr(spectral, "STALL_STEPS", spectral.DEFAULT_MAX_ITER + 1)
+        plain = spectral_radius(g)
+        assert r.iterations == plain.iterations > 1000
+        assert (r.rho, r.residual, r.perron.tobytes()) == (plain.rho, plain.residual, plain.perron.tobytes())
 
     def test_lapack_start_below_crossover(self):
         # the LAPACK Perron vector meets the default tol before any step;
