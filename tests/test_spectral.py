@@ -119,10 +119,13 @@ class TestSpectralRadius:
         # K_495 and K_505 joined by an edge: n = 1000, rho = 504, 1,111 steps at
         # the default tol, where n eps (rho + 1) would lie above tol.  The
         # sqrt(n) eps (rho + 1) floor estimate stays below DEFAULT_TOL up to
-        # MAX_VERTICES, so the result is that of the loop with no early stop
+        # MAX_VERTICES, so even with STALL_STEPS = 0, which would stop at the
+        # first step that misses a new least residual (there are 32 early on),
+        # the result is that of the loop with no early stop
         assert math.sqrt(MAX_VERTICES) * np.finfo(float).eps * MAX_VERTICES < DEFAULT_TOL
         edges = [(u, v) for lo, hi in ((0, 495), (495, 1000)) for u in range(lo, hi) for v in range(u + 1, hi)]
         g = from_edges(1000, edges + [(494, 495)])
+        monkeypatch.setattr(spectral, "STALL_STEPS", 0)
         r = spectral_radius(g)
         monkeypatch.setattr(spectral, "STALL_STEPS", spectral.DEFAULT_MAX_ITER + 1)
         plain = spectral_radius(g)
