@@ -11,6 +11,8 @@ from factorlab import (
     bundled_connected_graphs,
     complete,
     decide_by_criterion,
+    decide_by_matching,
+    eta,
     from_edges,
     from_graph6,
     g_na,
@@ -191,6 +193,19 @@ class TestSurvey:
         )
         with pytest.raises(FactorLabError):
             survey_theorem(n=12, a=2, b=4, samples=1, seed=0)
+
+    def test_past_the_sweep_cap(self):
+        # n = 20 is above CRITERION_VERTEX_LIMIT: record 0's witness must
+        # still come out, and re-check with the public eta
+        report = survey_theorem(n=20, a=2, b=4, samples=2, seed=0)
+        first = report.records[0]
+        assert first.is_gna and not first.has_factor
+        cells = dict(part.split("=") for part in first.detail.split(";"))
+        s_set, t_set = ({int(v) for v in cells[k].split("|") if v} for k in ("S", "T"))
+        g = from_graph6(first.graph6)
+        assert eta(g, s_set, t_set, ParityParams(2, 4)) == int(cells["eta"]) <= -2
+        for record in report.records[1:]:
+            assert record.has_factor == decide_by_matching(from_graph6(record.graph6), ParityParams(2, 4)).exists
 
     def test_hypothesis_metadata(self):
         report = survey_theorem(n=12, a=2, b=4, samples=1, seed=1)
