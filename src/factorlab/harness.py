@@ -19,7 +19,10 @@ from multiprocessing import Pool
 
 from .errors import FactorLabError, SamplerExhaustedError
 from .factors import (
+    CRITERION_VERTEX_LIMIT,
+    CriterionWitness,
     ParityParams,
+    Verdict,
     _deficiency,
     criterion_scan,
     decide_by_matching,
@@ -365,9 +368,21 @@ def _classify(rho: float, rho_extremal: float) -> str:
     return "above" if rho > rho_extremal else "below"
 
 
-def _survey_record(index: int, g: Graph, params: ParityParams, rho_extremal: float) -> SurveyRecord:
+def _block_verdict(g: Graph, params: ParityParams, t_mask: int) -> Verdict:
+    """g_na's no-factor verdict from its blocks: S = {}, T = the independent block."""
+    cells = _deficiency(g, 0, t_mask, (params.a,) * g.n, (params.b,) * g.n)
+    if cells[0] > -2:
+        raise FactorLabError(f"g_na block witness has eta = {cells[0]} > -2")
+    return Verdict(exists=False, witness=CriterionWitness(0, t_mask, *cells))
+
+
+def _survey_record(
+    index: int, g: Graph, params: ParityParams, rho_extremal: float, indep: int | None = None
+) -> SurveyRecord:
     verdict = decide_by_matching(g, params)
-    if not verdict.exists:
+    if not verdict.exists and indep is not None and g.n > CRITERION_VERTEX_LIMIT:
+        verdict = _block_verdict(g, params, indep)
+    elif not verdict.exists:
         verdict = criterion_scan(g, [params])[0]  # for the witness
         if verdict.exists:
             raise FactorLabError(
@@ -409,7 +424,10 @@ def survey_theorem(n: int, a: int, b: int, samples: int = 100, seed: int = 0) ->
     factor instead, the two exact deciders disagree and ``FactorLabError``
     is raised rather than either answer kept.
 
-    The extremal graph itself is always record 0.  Results below the
+    The extremal graph itself is always record 0.  Above
+    ``CRITERION_VERTEX_LIMIT``, where the sweep refuses, its witness is read
+    off its blocks instead: S = {}, T = the independent block, and
+    ``FactorLabError`` unless eta <= -2.  Results below the
     theorem's order threshold are reported, never asserted; exceptions are
     stored as findings.
     """
@@ -417,7 +435,7 @@ def survey_theorem(n: int, a: int, b: int, samples: int = 100, seed: int = 0) ->
     params.validate_for(n)
     extremal = g_na(n, a)
     rho_extremal = spectral_radius(extremal.graph).rho
-    records = [_survey_record(0, extremal.graph, params, rho_extremal)]
+    records = [_survey_record(0, extremal.graph, params, rho_extremal, extremal.blocks["indep"])]
     for index in range(1, samples + 1):
         rng = random.Random(f"{seed}:{index}")
         g = sample_connected_min_degree(n, a, rng)
