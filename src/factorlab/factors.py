@@ -10,12 +10,14 @@ graph has a parity [a,b]-factor iff eta is nonnegative for every disjoint
 pair; a violating pair (eta <= -2) is returned as a machine-checkable
 witness.  ``decide_by_search`` instead backtracks over edge subsets with
 degree-feasibility pruning and returns an explicit certificate when a
-factor exists.  Both are exponential.  ``decide_by_matching`` is
-polynomial: a parity factor is a general factor whose allowed degrees have
-gaps of one, so it exists iff the parity gadget (Cornuejols, "General
-factors of graphs", 1988) has a perfect matching, which the blossom matcher
-of ``matching`` decides; a factor comes back as a re-checked certificate,
-no factor without a witness.  The three routes share nothing beyond the
+factor exists.  Both are exponential; on up to ``CRITERION_EXACT_LIMIT``
+vertices the sweep evaluates eta on all 3^n assignments at once in numpy
+and searches for T only where a violation is known to lie.
+``decide_by_matching`` is polynomial: a parity factor is a general factor
+whose allowed degrees have gaps of one, so it exists iff the parity gadget
+(Cornuejols, "General factors of graphs", 1988) has a perfect matching,
+which the blossom matcher of ``matching`` decides; a factor comes back as a
+re-checked certificate, no factor without a witness.  The three routes share nothing beyond the
 graph type, so they cross-validate each other.
 """
 
@@ -24,6 +26,7 @@ from __future__ import annotations
 import warnings
 from array import array
 from dataclasses import dataclass
+from functools import cache
 from itertools import accumulate
 from operator import or_
 
@@ -41,6 +44,7 @@ from .matching import max_matching
 
 CRITERION_VERTEX_LIMIT = 18
 CRITERION_TABLE_LIMIT = 24  # force=True stops here: 2^n-entry tables, ~12 bytes each
+CRITERION_EXACT_LIMIT = 10  # exact R filter from all 3^n (R, T) pairs up to here, the bound above
 SEARCH_EDGE_LIMIT = 40
 
 
@@ -171,9 +175,11 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
     With R the "neither" vertices and W = V - R, eta(S,T) = b|W| +
     sum_{x in T} (d_R(x) - a - b) + 2e(T) - q, q <= c(R) counting components
     of G[R].  Per graph, ``_component_forest`` tabulates the components of
-    every R and ``_prefilter`` keeps, per pair, the R with
-    sum_{x in W} min(b, d_R(x) - a) - c(R) <= -2.  Surviving R go in
-    ascending order; W is sorted by (d_R(x), x), the order of d_R(x) - a - b
+    every R.  Up to ``CRITERION_EXACT_LIMIT`` vertices ``_exact_keep`` keeps,
+    per pair, exactly the R with a violating T inside W, so a pair with a
+    factor runs no DFS and one without runs one.  Above it ``_prefilter``
+    keeps the R with sum_{x in W} min(b, d_R(x) - a) - c(R) <= -2, a lower
+    bound on eta over those T.  Kept R go in ascending order; W is sorted by (d_R(x), x), the order of d_R(x) - a - b
     for every pair, so it and the component-parity bits are shared by the
     pairs, and ``_violating_t`` walks the T inside W in DFS preorder.  A
     pair's witness is its first violating (S,T) in R-ascending,
@@ -193,7 +199,10 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
     adj = g.adj
     full = g.full_mask
     first, ncomp = _component_forest(adj, n)
-    keep = _prefilter(adj, n, ncomp, params_list)
+    if n <= CRITERION_EXACT_LIMIT:
+        keep = _exact_keep(adj, n, first, params_list)
+    else:
+        keep = _prefilter(adj, n, ncomp, params_list)
     wanted = [row.tobytes() for row in keep]
     verdicts = [Verdict(exists=True)] * len(params_list)
     live = list(range(len(params_list)))
@@ -253,6 +262,73 @@ def _component_forest(adj, n: int) -> tuple[array, array]:
         first[r] = comp
         ncomp[r] = count
     return first, ncomp
+
+
+@cache
+def _popcounts(n: int) -> np.ndarray:
+    """popcount(X) for every X < 2^n, as uint8."""
+    pc = np.zeros(1, dtype=np.uint8)
+    for _ in range(n):
+        pc = np.concatenate([pc, pc + 1])
+    pc.flags.writeable = False  # cached: shared by every later call
+    return pc
+
+
+@cache
+def _pair_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(R, T) for each of the 3^n pairs of disjoint masks on n vertices."""
+    r = t = np.zeros(1, dtype=np.intp)
+    for v in range(n):
+        r, t = np.concatenate([r, r | 1 << v, r]), np.concatenate([t, t, t | 1 << v])
+    r.flags.writeable = t.flags.writeable = False  # cached: shared by every later call
+    return r, t
+
+
+def _exact_keep(adj, n: int, first: array, params_list: list[ParityParams]) -> np.ndarray:
+    """keep[i, R]: whether some T inside W = V - R has eta_i(W - T, T) <= -2.
+
+    eta is evaluated on all 3^n disjoint (R, T) at once.  Over the 2^n masks,
+    e[X] counts the edges inside X and odd[T] is the XOR of adj[x] over x in
+    T: bit v of it is the parity of e(v, T).  Then sum_{x in T} d_{G-S}(x) =
+    e[R | T] - e[R] + e[T], and q counts the components C of G[R] (walked
+    through ``first``) with |C & odd[T]| odd for even a, |C - odd[T]| odd for
+    odd a.  Lowering a to n + 1 and b to (n + 1)^2 moves no comparison with
+    -2, as q takes the parity of the pair's own a: an a >= n + 1 makes T = W
+    violate for every R != V, whatever b; with |S| >= 1 and b >= (n + 1)^2
+    eta stays positive; the other pairs do not depend on b.
+    """
+    size = 1 << n
+    pc = _popcounts(n)
+    r, t = _pair_masks(n)
+    e = np.zeros(size, dtype=np.int16)
+    odd = np.zeros(size, dtype=np.intp)
+    half = 1
+    for v in range(n):
+        e[half : 2 * half] = e[:half] + pc[adj[v] & np.arange(half)]
+        odd[half : 2 * half] = odd[:half] ^ adj[v]
+        half *= 2
+    rt = r | t
+    base = e[rt] - e[r] + e[t]
+    s_size = n - pc[rt].astype(np.int16)
+    t_size = pc[t].astype(np.int16)
+    odd_t = odd[t]
+    # Z, keyed by the parity of a: odd[T] & R, or ~odd[T] & R (x ^ -1 == ~x)
+    zs = {par: (odd_t ^ -par) & r for par in {p.a & 1 for p in params_list}}
+    q = {par: np.zeros(len(r), dtype=np.int16) for par in zs}
+    first_of = np.array(first, dtype=np.intp)
+    rest = r
+    while rest.any():
+        comp = first_of[rest]
+        for par, z in zs.items():
+            q[par] += pc[comp & z] & 1
+        rest = rest ^ comp
+    keep = np.zeros((len(params_list), size), dtype=bool)
+    for i, p in enumerate(params_list):
+        a = min(p.a, n + 1)
+        b = min(p.b, (n + 1) ** 2)
+        eta_all = b * s_size - a * t_size + base - q[p.a & 1]
+        keep[i, r[eta_all <= -2]] = True
+    return keep
 
 
 def _prefilter(adj, n: int, ncomp: array, params_list: list[ParityParams]) -> np.ndarray:

@@ -324,6 +324,52 @@ class TestDecideByCriterion:
                 assert vb.exists == vs.exists
                 assert vb.witness == vs.witness
 
+    def test_exact_table_equals_bound_route(self, monkeypatch):
+        # the exact R table and the bound prefilter must give the same
+        # verdicts and the same witness bytes
+        cases = [(g, n) for n in range(1, 8) for g in bundled_connected_graphs(n)]
+        rng = random.Random(808)
+        cases += [(random_connected(n, p, rng), n) for n in (9, 10) for p in (0.3, 0.5, 0.7)]
+        cases += [(g_na(10, 2).graph, 10), (g_na(9, 2).graph, 9)]
+        for g, n in cases:
+            valid = [p for p in PAIRS if (n * p.a) % 2 == 0]
+            table = criterion_scan(g, valid)
+            monkeypatch.setattr(factors, "CRITERION_EXACT_LIMIT", 0)
+            bound = criterion_scan(g, valid)
+            monkeypatch.undo()
+            assert table == bound, to_graph6(g)
+
+    def test_exact_table_is_exact(self):
+        # keep[i, R] against a brute force over every T inside V - R with the
+        # public eta; the large pairs exercise the clamping of a and b (P3 + K1
+        # has two odd components, so at R = V the parity of a decides)
+        pairs = PAIRS + [ParityParams(2, 60), ParityParams(1, 61), ParityParams(9, 11), ParityParams(10, 10)]
+        rng = random.Random(606)
+        graphs = [from_edges(4, [(0, 1), (1, 2)])]
+        graphs += [random_graph(rng.randrange(1, 7), rng.choice([0.2, 0.4, 0.7]), rng) for _ in range(24)]
+        for g in graphs:
+            n = g.n
+            valid = [p for p in pairs if (n * p.a) % 2 == 0]
+            first, _ = factors._component_forest(g.adj, n)
+            keep = factors._exact_keep(g.adj, n, first, valid)
+            full = (1 << n) - 1
+            for i, p in enumerate(valid):
+                for r_mask in range(1 << n):
+                    w_mask = full ^ r_mask
+                    subsets = (t for t in range(1 << n) if t & w_mask == t)
+                    expected = any(eta(g, w_mask ^ t, t, p) <= -2 for t in subsets)
+                    assert bool(keep[i, r_mask]) == expected, (to_graph6(g), p, r_mask)
+
+    def test_exact_table_off_above_limit(self, monkeypatch):
+        # the survey's orders (12-14) stay on the bound route: the 3^n pair
+        # arrays are never built there
+        def no_pairs(n):
+            raise AssertionError("3^n pair arrays built above CRITERION_EXACT_LIMIT")
+
+        monkeypatch.setattr(factors, "_pair_masks", no_pairs)
+        (v,) = criterion_scan(g_na(12, 2).graph, [ParityParams(2, 4)])
+        assert v.witness == CriterionWitness(s_set=0, t_set=1792, eta=-2, q=2, deg_sum=6)
+
     def test_matches_naive_full_enumeration(self):
         # direct oracle: try every (S, T) pair with the naive eta and compare
         # the existence verdicts (shares nothing with the pruned sweep)
