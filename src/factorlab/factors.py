@@ -17,8 +17,8 @@ and searches for T only where a violation is known to lie.
 whose allowed degrees have gaps of one, so it exists iff the parity gadget
 (Cornuejols, "General factors of graphs", 1988) has a perfect matching,
 which the blossom matcher of ``matching`` decides; a factor comes back as a
-re-checked certificate, no factor without a witness.  The three routes share nothing beyond the
-graph type, so they cross-validate each other.
+re-checked certificate, no factor without a witness.  The three routes
+share nothing beyond the graph type, so they cross-validate each other.
 """
 
 from __future__ import annotations
@@ -179,9 +179,10 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
     per pair, exactly the R with a violating T inside W, so a pair with a
     factor runs no DFS and one without runs one.  Above it ``_prefilter``
     keeps the R with sum_{x in W} min(b, d_R(x) - a) - c(R) <= -2, a lower
-    bound on eta over those T.  Kept R go in ascending order; W is sorted by (d_R(x), x), the order of d_R(x) - a - b
-    for every pair, so it and the component-parity bits are shared by the
-    pairs, and ``_violating_t`` walks the T inside W in DFS preorder.  A
+    bound on eta over those T.  Kept R go in ascending order; W is sorted
+    by (d_R(x), x), the order of d_R(x) - a - b for every pair, so it and
+    the component-parity bits are shared by the pairs, and ``_violating_t``
+    walks the T inside W in DFS preorder.  A
     pair's witness is its first violating (S,T) in R-ascending,
     DFS-preorder-of-T order, as in a per-pair call.  Tables hold 2^n entries.
     """

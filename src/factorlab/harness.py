@@ -368,20 +368,16 @@ def _classify(rho: float, rho_extremal: float) -> str:
     return "above" if rho > rho_extremal else "below"
 
 
-def _block_verdict(g: Graph, params: ParityParams, t_mask: int) -> Verdict:
-    """g_na's no-factor verdict from its blocks: S = {}, T = the independent block."""
-    cells = _deficiency(g, 0, t_mask, (params.a,) * g.n, (params.b,) * g.n)
-    if cells[0] > -2:
-        raise FactorLabError(f"g_na block witness has eta = {cells[0]} > -2")
-    return Verdict(exists=False, witness=CriterionWitness(0, t_mask, *cells))
-
-
 def _survey_record(
     index: int, g: Graph, params: ParityParams, rho_extremal: float, indep: int | None = None
 ) -> SurveyRecord:
     verdict = decide_by_matching(g, params)
     if not verdict.exists and indep is not None and g.n > CRITERION_VERTEX_LIMIT:
-        verdict = _block_verdict(g, params, indep)
+        # g_na past the sweep's cap: S = {}, T = its independent block
+        cells = _deficiency(g, 0, indep, (params.a,) * g.n, (params.b,) * g.n)
+        if cells[0] > -2:
+            raise FactorLabError(f"survey record {index}: g_na's block witness has eta = {cells[0]} > -2")
+        verdict = Verdict(exists=False, witness=CriterionWitness(0, indep, *cells))
     elif not verdict.exists:
         verdict = criterion_scan(g, [params])[0]  # for the witness
         if verdict.exists:

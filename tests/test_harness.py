@@ -207,6 +207,11 @@ class TestSurvey:
         for record in report.records[1:]:
             assert record.has_factor == decide_by_matching(from_graph6(record.graph6), ParityParams(2, 4)).exists
 
+    def test_block_witness_not_violating_raises(self, monkeypatch):
+        monkeypatch.setattr(harness, "_deficiency", lambda g, s, t, lo, hi: (0, 0, 0))
+        with pytest.raises(FactorLabError):
+            survey_theorem(n=20, a=2, b=4, samples=1, seed=0)
+
     def test_hypothesis_metadata(self):
         report = survey_theorem(n=12, a=2, b=4, samples=1, seed=1)
         assert report.hypothesis_n_min == max(2 * 4 + 272 + 264, 2 * 16 + 40 + 28 + 34)
