@@ -28,6 +28,7 @@ from .factors import (
     decide_by_search,
     eta,
     eta_gf,
+    search_scan,
     verify_certificate,
 )
 from .families import LabeledConstruction, book_family, g_na, h_nab, odd_1b

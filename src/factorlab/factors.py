@@ -10,9 +10,11 @@ graph has a parity [a,b]-factor iff eta is nonnegative for every disjoint
 pair; a violating pair (eta <= -2) is returned as a machine-checkable
 witness.  ``decide_by_search`` instead backtracks over edge subsets with
 degree-feasibility pruning and returns an explicit certificate when a
-factor exists.  Both are exponential; on up to ``CRITERION_EXACT_LIMIT``
-vertices the sweep evaluates eta on all 3^n assignments at once in numpy
-and searches for T only where a violation is known to lie.
+factor exists.  Both are exponential.  On up to ``CRITERION_EXACT_LIMIT``
+vertices the sweep bounds eta on all 3^n assignments at once in numpy,
+evaluates it exactly on the few the bound leaves, and searches for T only
+where a violation is known to lie, so a pair with a factor searches none;
+``search_scan`` builds the search's edge order once for several pairs.
 ``decide_by_matching`` is polynomial: a parity factor is a general factor
 whose allowed degrees have gaps of one, so it exists iff the parity gadget
 (Cornuejols, "General factors of graphs", 1988) has a perfect matching,
@@ -24,7 +26,6 @@ share nothing beyond the graph type, so they cross-validate each other.
 from __future__ import annotations
 
 import warnings
-from array import array
 from dataclasses import dataclass
 from functools import cache
 from itertools import accumulate
@@ -45,6 +46,7 @@ from .matching import max_matching
 CRITERION_VERTEX_LIMIT = 18
 CRITERION_TABLE_LIMIT = 24  # force=True stops here: 2^n-entry tables, ~12 bytes each
 CRITERION_EXACT_LIMIT = 10  # exact R filter from all 3^n (R, T) pairs up to here, the bound above
+FOREST_BLOCK = 1 << 16  # masks per pass of _component_forest: bounds numpy's intp index temporaries
 SEARCH_EDGE_LIMIT = 40
 
 
@@ -174,17 +176,19 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
 
     With R the "neither" vertices and W = V - R, eta(S,T) = b|W| +
     sum_{x in T} (d_R(x) - a - b) + 2e(T) - q, q <= c(R) counting components
-    of G[R].  Per graph, ``_component_forest`` tabulates the components of
-    every R.  Up to ``CRITERION_EXACT_LIMIT`` vertices ``_exact_keep`` keeps,
-    per pair, exactly the R with a violating T inside W, so a pair with a
-    factor runs no DFS and one without runs one.  Above it ``_prefilter``
-    keeps the R with sum_{x in W} min(b, d_R(x) - a) - c(R) <= -2, a lower
-    bound on eta over those T.  Kept R go in ascending order; W is sorted
-    by (d_R(x), x), the order of d_R(x) - a - b for every pair, so it and
-    the component-parity bits are shared by the pairs, and ``_violating_t``
-    walks the T inside W in DFS preorder.  A
-    pair's witness is its first violating (S,T) in R-ascending,
-    DFS-preorder-of-T order, as in a per-pair call.  Tables hold 2^n entries.
+    of G[R].  Per graph, ``_component_forest`` tabulates in numpy the
+    components of every R.  Up to ``CRITERION_EXACT_LIMIT`` vertices
+    ``_exact_keep`` keeps, per pair, exactly the R with a violating T inside
+    W; above it ``_prefilter`` keeps the R with sum_{x in W} min(b, d_R(x) -
+    a) - c(R) <= -2, a lower bound on eta over those T.  A pair that keeps
+    no R has a factor and is done.  The others walk their kept R in
+    ascending order until each has a witness, which on the exact table is
+    at its first kept R: one DFS per factor-free pair.  W is sorted by
+    (d_R(x), x), the order of d_R(x) - a - b for every pair, so it and the
+    component-parity bits are shared by the pairs, and ``_violating_t``
+    walks the T inside W in DFS preorder.  A pair's witness is its first
+    violating (S,T) in R-ascending, DFS-preorder-of-T order, as in a
+    per-pair call.  Tables hold 2^n entries.
     """
     n = g.n
     for p in params_list:
@@ -201,13 +205,15 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
     full = g.full_mask
     first, ncomp = _component_forest(adj, n)
     if n <= CRITERION_EXACT_LIMIT:
-        keep = _exact_keep(adj, n, first, params_list)
+        keep = _exact_keep(adj, n, first, ncomp, params_list)
     else:
         keep = _prefilter(adj, n, ncomp, params_list)
-    wanted = [row.tobytes() for row in keep]
     verdicts = [Verdict(exists=True)] * len(params_list)
-    live = list(range(len(params_list)))
-    for r_mask in np.flatnonzero(keep.any(axis=0)).tolist():
+    # a pair that keeps no R has a factor; the R walk serves the others
+    live = [i for i, row in enumerate(keep) if row.any()]
+    wanted = [row.tobytes() for row in keep]
+    first = memoryview(first)  # Python ints for the walk, without a copy
+    for r_mask in np.flatnonzero(keep[live].any(axis=0)).tolist():
         todo = [i for i in live if wanted[i][r_mask]]
         if not todo:
             continue
@@ -240,28 +246,28 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
     return verdicts
 
 
-def _component_forest(adj, n: int) -> tuple[array, array]:
+def _component_forest(adj, n: int) -> tuple[np.ndarray, np.ndarray]:
     """first[R]: the component of R's lowest vertex v in G[R]; ncomp[R]: c(R).
 
-    DP on v: it joins the components of R - v that it touches.  The
-    components of R are first[R], first[R ^ first[R]], and so on.
+    first[R] grows from v by first |= nbr[first] & R (nbr[X]: the OR of adj
+    over X) to its fixed point.  R's components are first[R], first[R ^
+    first[R]], ..., so c(R) passes of rest ^= first[rest] empty R.
     """
     size = 1 << n
-    first = array("I", [0]) * size
-    ncomp = array("B", [0]) * size
-    for r in range(1, size):
-        low = r & -r
-        nbr = adj[low.bit_length() - 1]
-        comp, count, rest = low, 1, r ^ low
-        while rest:
-            part = first[rest]
-            if part & nbr:
-                comp |= part
-            else:
-                count += 1
-            rest ^= part
-        first[r] = comp
-        ncomp[r] = count
+    nbr = np.zeros(size, dtype=np.uint32)
+    for v in range(n):
+        nbr[1 << v : 2 << v] = nbr[: 1 << v] | adj[v]
+    first, ncomp = np.empty_like(nbr), np.zeros(size, dtype=np.uint8)
+    for lo in range(0, size, FOREST_BLOCK):
+        r = np.arange(lo, min(size, lo + FOREST_BLOCK), dtype=np.uint32)
+        comp = r & -r
+        while ((grown := comp | nbr[comp] & r) != comp).any():
+            comp = grown
+        first[lo : lo + len(r)] = comp
+        rest = r
+        while rest.any():  # rest <= R, so first[rest] is already filled in
+            ncomp[lo : lo + len(r)] += rest != 0
+            rest = rest ^ first[rest]
     return first, ncomp
 
 
@@ -285,18 +291,20 @@ def _pair_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return r, t
 
 
-def _exact_keep(adj, n: int, first: array, params_list: list[ParityParams]) -> np.ndarray:
+def _exact_keep(adj, n: int, first: np.ndarray, ncomp: np.ndarray, params_list: list[ParityParams]) -> np.ndarray:
     """keep[i, R]: whether some T inside W = V - R has eta_i(W - T, T) <= -2.
 
-    eta is evaluated on all 3^n disjoint (R, T) at once.  Over the 2^n masks,
-    e[X] counts the edges inside X and odd[T] is the XOR of adj[x] over x in
-    T: bit v of it is the parity of e(v, T).  Then sum_{x in T} d_{G-S}(x) =
-    e[R | T] - e[R] + e[T], and q counts the components C of G[R] (walked
-    through ``first``) with |C & odd[T]| odd for even a, |C - odd[T]| odd for
-    odd a.  Lowering a to n + 1 and b to (n + 1)^2 moves no comparison with
-    -2, as q takes the parity of the pair's own a: an a >= n + 1 makes T = W
-    violate for every R != V, whatever b; with |S| >= 1 and b >= (n + 1)^2
-    eta stays positive; the other pairs do not depend on b.
+    Over the 2^n masks, e[X] counts the edges inside X and odd[T] is the XOR
+    of adj[x] over x in T: bit v of it is the parity of e(v, T).  For all 3^n
+    disjoint (R, T) at once, eta without its -q term is noq = b|S| - a|T| +
+    e[R | T] - e[R] + e[T].  As 0 <= q <= c(R), only the (R, T) with min_i
+    noq_i - c(R) <= -2 can violate; on those candidates q counts the
+    components C of G[R] (walked through ``first``) with |C & odd[T]| odd for
+    even a, |C - odd[T]| odd for odd a.  Lowering a to n + 1 and b to
+    (n + 1)^2 moves no comparison with -2, as q takes the parity of the
+    pair's own a: an a >= n + 1 makes T = W violate for every R != V,
+    whatever b; with |S| >= 1 and b >= (n + 1)^2 eta stays positive; the
+    other pairs do not depend on b.
     """
     size = 1 << n
     pc = _popcounts(n)
@@ -308,31 +316,28 @@ def _exact_keep(adj, n: int, first: array, params_list: list[ParityParams]) -> n
         e[half : 2 * half] = e[:half] + pc[adj[v] & np.arange(half)]
         odd[half : 2 * half] = odd[:half] ^ adj[v]
         half *= 2
+    lo = np.array([[min(p.a, n + 1)] for p in params_list], dtype=np.int16)
+    hi = np.array([[min(p.b, (n + 1) ** 2)] for p in params_list], dtype=np.int16)
     rt = r | t
-    base = e[rt] - e[r] + e[t]
-    s_size = n - pc[rt].astype(np.int16)
-    t_size = pc[t].astype(np.int16)
-    odd_t = odd[t]
+    noq = hi * (n - pc[rt]) - lo * pc[t] + (e[rt] - e[r] + e[t])
+    cand = np.flatnonzero(noq.min(axis=0) - ncomp[r] <= -2)
+    r, noq, odd_t = r[cand], noq[:, cand], odd[t[cand]]
     # Z, keyed by the parity of a: odd[T] & R, or ~odd[T] & R (x ^ -1 == ~x)
     zs = {par: (odd_t ^ -par) & r for par in {p.a & 1 for p in params_list}}
     q = {par: np.zeros(len(r), dtype=np.int16) for par in zs}
-    first_of = np.array(first, dtype=np.intp)
     rest = r
     while rest.any():
-        comp = first_of[rest]
+        comp = first[rest]
         for par, z in zs.items():
             q[par] += pc[comp & z] & 1
         rest = rest ^ comp
     keep = np.zeros((len(params_list), size), dtype=bool)
     for i, p in enumerate(params_list):
-        a = min(p.a, n + 1)
-        b = min(p.b, (n + 1) ** 2)
-        eta_all = b * s_size - a * t_size + base - q[p.a & 1]
-        keep[i, r[eta_all <= -2]] = True
+        keep[i, r[noq[i] - q[p.a & 1] <= -2]] = True
     return keep
 
 
-def _prefilter(adj, n: int, ncomp: array, params_list: list[ParityParams]) -> np.ndarray:
+def _prefilter(adj, n: int, ncomp: np.ndarray, params_list: list[ParityParams]) -> np.ndarray:
     """keep[i, R]: whether sum_{x in W} min(b, d_R(x) - a) - c(R) <= -2 for pair i.
 
     That sum bounds eta(S,T) from below for every T inside W = V - R.  Each
@@ -354,7 +359,7 @@ def _prefilter(adj, n: int, ncomp: array, params_list: list[ParityParams]) -> np
         # the masks R without x, viewed as (high bits, bit x = 0, low bits)
         d = col.reshape(size >> x + 1, 2, 1 << x)[:, 0, :]
         bound.reshape(count, size >> x + 1, 2, 1 << x)[:, :, 0, :] += np.minimum(d - lo, hi)
-    bound -= np.frombuffer(ncomp, dtype=np.uint8)
+    bound -= ncomp
     return bound <= -2
 
 
@@ -465,23 +470,40 @@ def decide_by_search(
     constrained) vertices first, include-branch first, so the certificate
     for a given graph is deterministic.
     """
+    return search_scan(g, [params], parity=parity, force=force)[0]
+
+
+def search_scan(
+    g: Graph, params_list: list[ParityParams], parity: bool = True, force: bool = False
+) -> list[Verdict]:
+    """Run ``decide_by_search`` for several parameter pairs on one graph.
+
+    The degrees and the edge order depend on the graph alone, so they are
+    built once and shared by the pairs.
+    """
     if parity:
-        params.validate_for(g.n)
+        for p in params_list:
+            p.validate_for(g.n)
     if g.m > SEARCH_EDGE_LIMIT:
         if not force:
             raise SizeLimitError(
                 f"search decider capped at m <= {SEARCH_EDGE_LIMIT} edges; pass force=True to override"
             )
         warnings.warn(f"edge-subset search over 2^{g.m} subsets; this may take very long")
-    n = g.n
-    a, b = params.a, params.b
-    rank = sorted(range(n), key=lambda v: (g.degree(v), v))
-    pos = [0] * n
+    degrees = g.degrees()
+    rank = sorted(range(g.n), key=lambda v: (degrees[v], v))
+    pos = [0] * g.n
     for i, v in enumerate(rank):
         pos[v] = i
     edge_list = sorted(g.edges(), key=lambda e: tuple(sorted((pos[e[0]], pos[e[1]]))))
+    return [_search(edge_list, degrees, p.a, p.b, parity) for p in params_list]
+
+
+def _search(edge_list: list[tuple[int, int]], degrees: list[int], a: int, b: int, parity: bool) -> Verdict:
+    """The backtracking of ``decide_by_search`` over edges in the given order."""
+    n = len(degrees)
     cur = [0] * n
-    und = g.degrees()
+    und = list(degrees)
 
     def feasible(v: int) -> bool:
         lo = cur[v] if cur[v] > a else a

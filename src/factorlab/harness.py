@@ -28,6 +28,7 @@ from .factors import (
     decide_by_matching,
     decide_by_search,
     eta,
+    search_scan,
 )
 from .families import book_family, g_na
 from .graph import (
@@ -249,12 +250,15 @@ def _sweep_one(args: tuple[Graph, list[ParityParams], bool]) -> list[tuple]:
             (g6, g.n, p.a, p.b, f"error:{_safe_msg(exc)}", False, "", "", "") for p in valid
         )
         return rows
-    for p, cv in zip(valid, criterion_verdicts):
-        try:
-            sv = decide_by_search(g, p)
-        except FactorLabError as exc:
-            rows.append((g6, g.n, p.a, p.b, f"error:{_safe_msg(exc)}", False, cv.exists, "", ""))
-            continue
+    try:
+        search_verdicts = search_scan(g, valid)
+    except FactorLabError as exc:
+        rows.extend(
+            (g6, g.n, p.a, p.b, f"error:{_safe_msg(exc)}", False, cv.exists, "", "")
+            for p, cv in zip(valid, criterion_verdicts)
+        )
+        return rows
+    for p, cv, sv in zip(valid, criterion_verdicts, search_verdicts):
         agree = cv.exists == sv.exists
         extra = ""
         if matching_check and p.a == 1 and p.b == 1:

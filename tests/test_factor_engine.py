@@ -7,6 +7,7 @@ adjacency and recursive DFS, sharing no code with the bitmask route.
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from factorlab import (
@@ -18,14 +19,18 @@ from factorlab import (
     ParityPreconditionError,
     ParityParams,
     SizeLimitError,
+    Verdict,
     a_odd_count,
     bundled_connected_graphs,
     complete,
+    components,
     criterion_scan,
     cycle,
     decide_by_criterion,
     decide_by_matching,
     decide_by_search,
+    disjoint_union,
+    edgeless,
     eta,
     eta_gf,
     from_edges,
@@ -34,6 +39,7 @@ from factorlab import (
     max_matching_size,
     path,
     sample_connected_min_degree,
+    search_scan,
     star,
     to_graph6,
     verify_certificate,
@@ -350,8 +356,8 @@ class TestDecideByCriterion:
         for g in graphs:
             n = g.n
             valid = [p for p in pairs if (n * p.a) % 2 == 0]
-            first, _ = factors._component_forest(g.adj, n)
-            keep = factors._exact_keep(g.adj, n, first, valid)
+            first, ncomp = factors._component_forest(g.adj, n)
+            keep = factors._exact_keep(g.adj, n, first, ncomp, valid)
             full = (1 << n) - 1
             for i, p in enumerate(valid):
                 for r_mask in range(1 << n):
@@ -359,6 +365,43 @@ class TestDecideByCriterion:
                     subsets = (t for t in range(1 << n) if t & w_mask == t)
                     expected = any(eta(g, w_mask ^ t, t, p) <= -2 for t in subsets)
                     assert bool(keep[i, r_mask]) == expected, (to_graph6(g), p, r_mask)
+
+    def test_component_forest_matches_components(self, monkeypatch):
+        # first[R] and ncomp[R] against graph.components on every R; P_12
+        # needs the most closure rounds, and a small FOREST_BLOCK splits the
+        # larger graphs into many blocks without changing a table entry
+        rng = random.Random(1414)
+        graphs = [g for n in range(1, 8) for g in bundled_connected_graphs(n)]
+        graphs += [path(12), edgeless(10), disjoint_union(cycle(5), path(6))]
+        graphs += [random_graph(14, p, rng) for p in (0.15, 0.3)]
+        for g in graphs:
+            first, ncomp = factors._component_forest(g.adj, g.n)
+            assert first.dtype == np.uint32 and ncomp.dtype == np.uint8
+            assert len(first) == len(ncomp) == 1 << g.n
+            for r_mask in range(1 << g.n):
+                comps = components(g, r_mask)
+                assert ncomp[r_mask] == len(comps), (to_graph6(g), r_mask)
+                assert first[r_mask] == (comps[0] if comps else 0), (to_graph6(g), r_mask)
+            if g.n >= 10:
+                monkeypatch.setattr(factors, "FOREST_BLOCK", 1 << 5)
+                blocked = factors._component_forest(g.adj, g.n)
+                monkeypatch.undo()
+                assert np.array_equal(blocked[0], first) and np.array_equal(blocked[1], ncomp)
+
+    def test_factor_bearing_pairs_walk_no_r(self, monkeypatch):
+        # K_8 has a factor for all six pairs: the exact table keeps no R for
+        # any of them, so no T is ever searched
+        def no_walk(*args):
+            raise AssertionError("R walked for a pair with a factor")
+
+        monkeypatch.setattr(factors, "_violating_t", no_walk)
+        assert criterion_scan(complete(8), PAIRS) == [Verdict(exists=True)] * len(PAIRS)
+        monkeypatch.undo()
+        # mixed verdicts, on the exact table (n = 8) and the bound route (n = 12)
+        for g in (g_na(8, 2).graph, g_na(12, 2).graph):
+            batched = criterion_scan(g, PAIRS)
+            assert {v.exists for v in batched} == {True, False}
+            assert batched == [decide_by_criterion(g, p) for p in PAIRS]
 
     def test_exact_table_off_above_limit(self, monkeypatch):
         # the survey's orders (12-14) stay on the bound route: the 3^n pair
@@ -423,6 +466,25 @@ def golden_witness_rows():
 def test_golden_witness_digest():
     text = "\n".join(golden_witness_rows()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WITNESS_DIGEST
+
+
+# sha256 over one row per (graph, pair) of the n <= 7 corpus, recorded from
+# per-pair decide_by_search calls before search_scan shared the edge order.
+GOLDEN_CERTIFICATE_DIGEST = "82a7f4f65345b4786df02948d1ee3ee54d8c38f68943fb64955a1b11beb49959"
+
+
+def test_golden_certificate_digest():
+    pairs = [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)]
+    rows = []
+    for n in range(1, 8):
+        valid = [ParityParams(a, b) for a, b in pairs if (n * a) % 2 == 0]
+        for g in bundled_connected_graphs(n):
+            for p, v in zip(valid, search_scan(g, valid)):
+                c = v.certificate
+                cells = ("", "") if c is None else (c.edges, c.degrees)
+                rows.append(";".join(map(str, (to_graph6(g), p.a, p.b, int(v.exists), *cells))))
+    text = "\n".join(rows) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_CERTIFICATE_DIGEST
 
 
 class TestDecideBySearch:
