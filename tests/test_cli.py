@@ -368,7 +368,6 @@ class TestVerify:
 
 
 # sha256 of `verify` stdout (report plus summary line), one per suite run.
-# lemma2.7 is left out: its fixed grid takes several seconds.
 GOLDEN_VERIFY_DIGESTS = {
     "lemma2.2": "4c16941662c14c27e94d1590ec7b5a3c91260b9e99d348e6cd656c047be48ae9",
     "lemma2.3": "68385db4032f3ed9176a3139ea8d102ab285fc0748ed2b4cc9118c2b3280d7bc",
@@ -377,6 +376,7 @@ GOLDEN_VERIFY_DIGESTS = {
     "oracle": "8862a31ee25d148a8e3609ade66b4ae5a69b3923d82a60d292453b77551f385a",
     "lemma2.6": "0942674c9ecdbaf1555857adcadff5ea11c817ce77610bfdfcb7d52dd23b5e28",
     "lemma2.8": "b2b8045e7128e991e4ba2e619d699f7a581f1ea5dbc422348bc12ee8bd7df316",
+    "lemma2.7": "9564d808ce7c9e1891e83121c2013afc30135c095900c43bc43f164e7a101b2b",
 }
 
 
@@ -392,6 +392,7 @@ def test_golden_verify_digests(capsys, tmp_path):
         ("oracle", ["--corpus", str(corpus), "--jobs", "2"]),
         ("lemma2.6", []),
         ("lemma2.8", []),
+        ("lemma2.7", []),
     ]
     for suite, extra in runs:
         code, out, _ = run_cli(capsys, ["verify", "--suite", suite, *extra])
