@@ -327,6 +327,22 @@ class TestQuotientRho:
         with pytest.raises(BadParamsError):
             quotient_rho(qm)
 
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            ((0, 1, 0), (1, 0)),  # ragged rows: was a silent 1.0
+            ((0.5, 1), (1, 0)),  # float entry: was an uncertified 1.2808
+            ((2**1100, 1), (1, 0)),  # was a bare OverflowError
+            ((float("nan"), 1), (1, 0)),  # was numpy's LinAlgError
+            ((0, -1), (1, 0)),  # negative entry: was NotConvergedError
+            ((True, 1), (1, 0)),  # a bool is not a count
+            ((0, MAX_VERTICES), (1, 0)),  # no vertex has MAX_VERTICES neighbours
+        ],
+    )
+    def test_malformed_quotient_rejected(self, entries):
+        with pytest.raises(BadParamsError):
+            quotient_rho(QuotientMatrix(parts=(), entries=entries))
+
 
 def _det(rows):
     """Determinant by Fraction Gaussian elimination."""
