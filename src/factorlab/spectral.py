@@ -15,16 +15,18 @@ loses.
 Quotient spectral radii for matrices up to 8x8 are exact: a LAPACK
 eigenvalue brackets the Perron root, a sign change of the integer
 characteristic polynomial (Berkowitz) certifies the bracket, and bisection
-narrows it to adjacent floats.  Bisecting blindly inside [min row sum,
-max row sum] would be unsound because subdominant real eigenvalues may sit
-above the minimum row sum.
+narrows it to adjacent floats.  Every sign is exact and found in integers:
+a float x is a dyadic rational num / 2^k, so p(x) 2^(k deg p) is an integer
+with the sign of p(x).  Bisecting blindly inside [min row sum, max row sum]
+would be unsound because subdominant real eigenvalues may sit above the
+minimum row sum.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from math import sqrt
+from operator import mul
 
 import numpy as np
 
@@ -34,7 +36,7 @@ from .errors import (
     NotAPartitionError,
     NotConvergedError,
 )
-from .graph import Graph, VertexSet, components, iter_bits, mask_of, vertices_of
+from .graph import MAX_VERTICES, Graph, VertexSet, components, iter_bits, mask_of, vertices_of
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
@@ -196,7 +198,14 @@ def f_monotone_check(n: int, m: int, x_grid: list[float]) -> bool:
 
 
 def quotient(g: Graph, parts: list[VertexSet]) -> QuotientMatrix | NotEquitable:
-    """Integer quotient matrix of an equitable partition, else the offending pair."""
+    """Integer quotient matrix of an equitable partition, else the offending pair.
+
+    Each part's row is the neighbour counts of its first vertex u; the other
+    vertices are checked in ascending order and the first whose counts differ
+    is the witness.  A twin v of u, with N(v) = N(u) or N[v] = N[u], is not
+    counted: with no loops and u, v in the same part, |N(v) & P| = |N(u) & P|
+    for every part P.  Twins never differ, so the witness is unchanged.
+    """
     masks = [mask_of(p) for p in parts]
     union = 0
     for pm in masks:
@@ -207,14 +216,21 @@ def quotient(g: Graph, parts: list[VertexSet]) -> QuotientMatrix | NotEquitable:
         union |= pm
     if union != g.full_mask:
         raise NotAPartitionError("parts do not cover V")
+    adj = g.adj
     entries = []
     for pm in masks:
-        row = None
-        for v in iter_bits(pm):
-            counts = tuple((g.adj[v] & other).bit_count() for other in masks)
-            if row is None:
-                row = counts
-            elif counts != row:
+        u = (pm & -pm).bit_length() - 1
+        open_u, closed_u = adj[u], adj[u] | 1 << u
+        row = tuple((open_u & other).bit_count() for other in masks)
+        rest = pm ^ 1 << u
+        while rest:  # iter_bits inlined: ascending, without a generator
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            if adj[v] == open_u or adj[v] | low == closed_u:
+                continue  # a twin of u has u's row
+            counts = tuple((adj[v] & other).bit_count() for other in masks)
+            if counts != row:
                 part = next(j for j in range(len(masks)) if counts[j] != row[j])
                 return NotEquitable(vertex=v, part=part)
         entries.append(row)
@@ -234,33 +250,49 @@ def charpoly_coefficients(entries: tuple[tuple[int, ...], ...]) -> list[int]:
         toeplitz = [1, -row[k]]
         vec = [entries[i][k] for i in range(k)]
         for _ in range(k):
-            toeplitz.append(-sum(r * v for r, v in zip(row, vec)))
-            vec = [sum(entries[i][j] * vec[j] for j in range(k)) for i in range(k)]
-        poly = [sum(toeplitz[i - j] * poly[j] for j in range(min(i, k) + 1)) for i in range(k + 2)]
+            toeplitz.append(-sum(map(mul, row, vec)))  # map stops at len(vec) == k
+            vec = [sum(map(mul, entries[i], vec)) for i in range(k)]
+        poly = [sum(map(mul, toeplitz[i::-1], poly)) for i in range(k + 2)]
     return poly
 
 
-def _eval_exact(coeffs: list[int], x: float) -> Fraction:
-    acc = Fraction(0)
-    fx = Fraction(x)
+def _eval_exact(coeffs: list[int], x: float) -> int:
+    """p(x) den^deg as an exact integer, x = num / den with den a power of two.
+
+    ``coeffs`` run highest power first.  den > 0, so the result has the sign
+    of p(x), and Horner's rule stays in integers.  x must be finite.
+    """
+    num, den = x.as_integer_ratio()
+    acc, scale = 0, 1
     for c in coeffs:
-        acc = acc * fx + c
+        acc = acc * num + c * scale
+        scale *= den
     return acc
 
 
 def quotient_rho(q: QuotientMatrix) -> float:
     """Perron root of a nonnegative quotient matrix.
 
-    Constant row sums give the root exactly.  Otherwise the largest real
-    part among the LAPACK eigenvalues brackets it; up to 8x8 the bracket is
-    certified by a sign change of the exact characteristic polynomial and
-    bisected to adjacent floats, returning the upper one (the root itself
-    when it is a float).  A Perron root of even multiplicity, as in a
-    reducible quotient with two equal blocks, has no sign change and raises
-    ``NotConvergedError``.
+    The entries must form a square matrix of neighbour counts: each an
+    ``int`` in 0..MAX_VERTICES-1, as ``quotient`` returns them; anything
+    else raises ``BadParamsError``.  Constant row sums give the root
+    exactly.  Otherwise the largest real part among the LAPACK eigenvalues
+    brackets it; up to 8x8 the bracket is certified by a sign change of the
+    exact characteristic polynomial and bisected to adjacent floats,
+    returning the upper one (the root itself when it is a float).  Each
+    sign is that of the integer ``_eval_exact`` returns.  A Perron root of
+    even multiplicity, as in a reducible quotient with two equal blocks, has
+    no sign change and raises ``NotConvergedError``.
     """
     if not q.entries:
         raise BadParamsError("spectral radius of the empty graph is undefined")
+    k = len(q.entries)
+    if not all(
+        len(row) == k and all(type(v) is int and 0 <= v < MAX_VERTICES for v in row) for row in q.entries
+    ):
+        raise BadParamsError(
+            f"quotient entries must be a square matrix of integers in 0..{MAX_VERTICES - 1}"
+        )
     row_sums = {sum(row) for row in q.entries}
     if len(row_sums) == 1:
         return float(row_sums.pop())
