@@ -37,7 +37,7 @@ from factorlab import (
     survey_theorem,
 )
 from factorlab import spectral
-from factorlab.graph import MAX_VERTICES
+from factorlab.graph import MAX_VERTICES, Graph, iter_bits
 from factorlab.spectral import DEFAULT_TOL, EIGH_MAX_N, QuotientMatrix, charpoly_coefficients
 
 
@@ -51,6 +51,31 @@ def random_connected(n, p, rng):
         g = random_graph(n, p, rng)
         if is_connected(g):
             return g
+
+
+def quotient_reference(g, masks):
+    """``quotient``'s plain per-vertex loop: every vertex's counts, twins included."""
+    entries = []
+    for pm in masks:
+        row = None
+        for v in iter_bits(pm):
+            counts = tuple((g.adj[v] & other).bit_count() for other in masks)
+            if row is None:
+                row = counts
+            elif counts != row:
+                part = next(j for j in range(len(masks)) if counts[j] != row[j])
+                return NotEquitable(vertex=v, part=part)
+        entries.append(row)
+    return QuotientMatrix(parts=tuple(masks), entries=tuple(entries))
+
+
+def residue_parts(n, m):
+    """Vertices split by label mod m (equitable on a circulant when m divides n)."""
+    return [sum(1 << v for v in range(r, n, m)) for r in range(m)]
+
+
+def circulant(n, jumps):
+    return from_edges(n, {tuple(sorted((v, (v + j) % n))) for v in range(n) for j in jumps})
 
 
 class TestSpectralRadius:
@@ -269,6 +294,71 @@ class TestQuotient:
                 assert len(set(counts.values())) > 1
         assert hits >= 20  # random 2-partitions are almost never equitable
 
+    def test_matches_reference_loop(self):
+        # random partitions (mostly a witness), circulants split by residue
+        # (equitable, few twins), the same with one edge flipped (a witness
+        # late in the scan), and block graphs whose parts are all twins
+        rng = random.Random(31)
+        cases = []
+        for _ in range(60):
+            n = rng.randrange(2, 16)
+            g = random_graph(n, rng.choice((0.2, 0.5, 0.8)), rng)
+            parts = [0] * rng.randrange(1, n + 1)
+            for v in range(n):
+                parts[rng.randrange(len(parts))] |= 1 << v
+            cases.append((g, [pm for pm in parts if pm]))
+        for _ in range(40):
+            m = rng.randrange(1, 5)
+            n = m * rng.randrange(2, 7)
+            jumps = rng.sample(range(1, n // 2 + 1), rng.randrange(1, n // 2 + 1))
+            g = circulant(n, jumps)
+            cases.append((g, residue_parts(n, m)))
+            u, v = rng.sample(range(n), 2)
+            rows = list(g.adj)
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+            cases.append((Graph(n, rows), residue_parts(n, m)))
+        for n, s, b in [(12, 2, 4), (30, 3, 6)]:
+            cons = book_family(n, s, b)
+            cases.append((cons.graph, cons.parts()))
+        for n, a in [(9, 2), (16, 3)]:
+            cons = g_na(n, a)
+            cases.append((cons.graph, cons.parts()))
+        kinds = set()
+        for g, parts in cases:
+            result = quotient(g, parts)
+            assert result == quotient_reference(g, parts)
+            kinds.add(type(result))
+        assert kinds == {QuotientMatrix, NotEquitable}
+
+    def test_twin_before_differing_vertex(self):
+        # part {0, 1, 2}: 1 is a twin of 0 (open, then closed neighbourhoods),
+        # 2 is not and has another row; the witness is 2, as without skipping
+        open_twins = from_edges(5, [(0, 3), (1, 3), (2, 3), (2, 4)])
+        closed_twins = from_edges(5, [(0, 1), (0, 3), (1, 3), (2, 3), (2, 4)])
+        for g in (open_twins, closed_twins):
+            parts = [0b00111, 0b11000]
+            result = quotient(g, parts)
+            assert result == quotient_reference(g, parts)
+            assert result.vertex == 2
+
+    def test_all_true_twins(self):
+        # K_4 joined to 3 isolated vertices: the clique part holds only
+        # vertices with equal closed neighbourhoods, the other only open twins
+        g = book_family(8, 1, 2).graph
+        parts = [0b00001, 0b11110 & g.full_mask, g.full_mask ^ 0b11111]
+        result = quotient(g, parts)
+        assert result == quotient_reference(g, parts)
+        assert result.entries == ((0, 4, 3), (1, 3, 0), (1, 0, 0))
+
+    def test_row_plus_first_vertex_is_not_a_twin(self):
+        # adj[v] == adj[u] | 1 << u is no twin: v counts u, u does not count v
+        # (rows need not be symmetric, only loop-free)
+        g = Graph(3, [0b100, 0b101, 0b011])
+        parts = [0b011, 0b100]
+        result = quotient(g, parts)
+        assert result == quotient_reference(g, parts) == NotEquitable(vertex=1, part=0)
+
     def test_not_a_partition(self):
         g = complete(4)
         with pytest.raises(NotAPartitionError):
@@ -342,6 +432,49 @@ class TestQuotientRho:
     def test_malformed_quotient_rejected(self, entries):
         with pytest.raises(BadParamsError):
             quotient_rho(QuotientMatrix(parts=(), entries=entries))
+
+
+def _sign(value):
+    return (value > 0) - (value < 0)
+
+
+def _fraction_value(coeffs, x):
+    """p(x) in exact rationals, summed by powers rather than by Horner's rule."""
+    deg = len(coeffs) - 1
+    return sum(c * Fraction(x) ** (deg - i) for i, c in enumerate(coeffs))
+
+
+class TestExactSign:
+    def test_integer_sign_matches_fraction(self):
+        rng = random.Random(37)
+        xs = [0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300]
+        xs += [float(rng.randrange(-1000, 1001)) for _ in range(8)]
+        xs += [sign * rng.random() * 10.0 ** rng.randrange(-8, 9) for sign in (1, -1) for _ in range(8)]
+        for deg in range(9):
+            for _ in range(12):
+                coeffs = [rng.randint(-10**6, 10**6) for _ in range(deg + 1)]
+                for x in xs:
+                    assert _sign(spectral._eval_exact(coeffs, x)) == _sign(_fraction_value(coeffs, x)), (coeffs, x)
+
+    def test_zero_at_a_float_root(self):
+        # 2x^2 - 5x - 3 = (x - 3)(2x + 1) vanishes at 3.0 and at -0.5
+        for x, expected in [(3.0, 0), (-0.5, 0), (2.0, -1), (3.0000000000000004, 1), (-0.5000000000000001, 1)]:
+            assert _sign(spectral._eval_exact([2, -5, -3], x)) == expected
+
+    def test_result_is_first_float_at_or_above_root(self):
+        # p(previous float) < 0 <= p(result) in exact rationals; star(5) and
+        # star(17) have the float roots 2 and 4, where p(result) == 0
+        constructions = [book_family(n, s, b) for n, s, b in [(20, 1, 4), (30, 3, 6), (60, 5, 9), (200, 2, 4)]]
+        constructions += [g_na(n, a) for n, a in [(9, 2), (16, 3), (40, 5)]]
+        cases = [quotient(cons.graph, cons.parts()) for cons in constructions]
+        cases += [quotient(star(n), [1, star(n).full_mask ^ 1]) for n in (5, 9, 17)]
+        zeros = 0
+        for qm in cases:
+            coeffs = charpoly_coefficients(qm.entries)
+            rho = quotient_rho(qm)
+            assert _fraction_value(coeffs, math.nextafter(rho, -math.inf)) < 0 <= _fraction_value(coeffs, rho)
+            zeros += _fraction_value(coeffs, rho) == 0
+        assert zeros == 2
 
 
 def _det(rows):
