@@ -287,12 +287,8 @@ def quotient_rho(q: QuotientMatrix) -> float:
     if not q.entries:
         raise BadParamsError("spectral radius of the empty graph is undefined")
     k = len(q.entries)
-    if not all(
-        len(row) == k and all(type(v) is int and 0 <= v < MAX_VERTICES for v in row) for row in q.entries
-    ):
-        raise BadParamsError(
-            f"quotient entries must be a square matrix of integers in 0..{MAX_VERTICES - 1}"
-        )
+    if any(len(row) != k or any(type(v) is not int or not 0 <= v < MAX_VERTICES for v in row) for row in q.entries):
+        raise BadParamsError(f"quotient entries must be a square matrix of ints in 0..{MAX_VERTICES - 1}")
     row_sums = {sum(row) for row in q.entries}
     if len(row_sums) == 1:
         return float(row_sums.pop())
