@@ -204,7 +204,8 @@ def quotient(g: Graph, parts: list[VertexSet]) -> QuotientMatrix | NotEquitable:
     vertices are checked in ascending order and the first whose counts differ
     is the witness.  A twin v of u, with N(v) = N(u) or N[v] = N[u], is not
     counted: with no loops and u, v in the same part, |N(v) & P| = |N(u) & P|
-    for every part P.  Twins never differ, so the witness is unchanged.
+    for every part P.  Twins never differ, so skipping them leaves the
+    witness that checking every vertex would give.
     """
     masks = [mask_of(p) for p in parts]
     union = 0
@@ -293,7 +294,7 @@ def quotient_rho(q: QuotientMatrix) -> float:
     if len(row_sums) == 1:
         return float(row_sums.pop())
     root = float(np.linalg.eigvals(np.array(q.entries, dtype=float)).real.max())
-    if len(q.entries) > 8:
+    if k > 8:
         return root  # exact charpoly bisection is only worthwhile for small matrices
     coeffs = charpoly_coefficients(q.entries)
     left, right = root - 1e-6, root + 1e-6
