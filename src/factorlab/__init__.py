@@ -31,7 +31,7 @@ from .factors import (
     search_scan,
     verify_certificate,
 )
-from .families import LabeledConstruction, book_family, g_na, h_nab, odd_1b
+from .families import LabeledConstruction, book_family, clique_join, g_na, h_nab, odd_1b
 from .graph import (
     Graph,
     complement,

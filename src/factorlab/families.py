@@ -1,10 +1,13 @@
 """Constructors for the extremal graph families under study.
 
-Every constructor returns a ``LabeledConstruction``: the graph plus named
-vertex blocks (as bitmasks) in a fixed labeling order, so tests and
-verification runs can address specific blocks deterministically.  Theorem
-hypotheses that are deliberately not enforced (so small-n probing stays
-possible) are recorded in the ``hypothesis`` field.
+Each family is a join K_s v (K_c1 + ... + K_cq) plus at most a few edges;
+``clique_join`` is the one builder of that shape, and each constructor
+builds one ``Graph`` from its rows.  Every constructor returns a
+``LabeledConstruction``: the graph plus named vertex blocks (as bitmasks)
+in a fixed labeling order, so tests and verification runs can address
+specific blocks deterministically.  Theorem hypotheses that are
+deliberately not enforced (so small-n probing stays possible) are recorded
+in the ``hypothesis`` field.
 """
 
 from __future__ import annotations
@@ -12,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BadParamsError
-from .graph import Graph, complete, disjoint_union, edgeless, join
+from .graph import MAX_VERTICES, Graph
 
 
 @dataclass(frozen=True)
@@ -33,6 +36,29 @@ def _range_mask(start: int, size: int) -> int:
     return ((1 << size) - 1) << start
 
 
+def _check_order(family: str, n: int) -> None:
+    if n > MAX_VERTICES:  # before any row or clique-size tuple is built
+        raise BadParamsError(f"{family} requires n <= {MAX_VERTICES}, got n={n}")
+
+
+def clique_join(s: int, sizes: tuple[int, ...]) -> list[int]:
+    """Adjacency rows of K_s joined to the disjoint union of K_c, c in sizes.
+
+    Labels: K_s first, then each clique in order; a size-1 clique is an
+    isolated vertex of the union.
+    """
+    n = s + sum(sizes)
+    if s < 0 or min(sizes, default=1) < 1 or n > MAX_VERTICES:
+        raise BadParamsError(f"clique_join needs s >= 0, sizes >= 1, order <= {MAX_VERTICES}; got s={s}, order {n}")
+    hub = (1 << s) - 1
+    rows = [((1 << n) - 1) ^ (1 << v) for v in range(s)]
+    for c in sizes:
+        start = len(rows)
+        block = hub | _range_mask(start, c)
+        rows.extend(block ^ (1 << v) for v in range(start, start + c))
+    return rows
+
+
 def g_na(n: int, a: int) -> LabeledConstruction:
     """K_{a-1} joined to (K_{n-2a-1} + (a+1) isolated vertices), plus one
     extra vertex adjacent to exactly the a+1 independent vertices.
@@ -44,13 +70,13 @@ def g_na(n: int, a: int) -> LabeledConstruction:
         raise BadParamsError(f"g_na requires a >= 2, got a={a}")
     if n < 2 * a + 3:
         raise BadParamsError(f"g_na requires n >= 2a+3 = {2 * a + 3}, got n={n}")
-    core = join(complete(a - 1), disjoint_union(complete(n - 2 * a - 1), edgeless(a + 1)))
+    _check_order("g_na", n)
+    rows = clique_join(a - 1, (n - 2 * a - 1,) + (1,) * (a + 1))
     indep = _range_mask(n - a - 2, a + 1)
     w_bit = 1 << (n - 1)
-    rows = list(core.adj) + [indep]
     for v in range(n - a - 2, n - 1):
         rows[v] |= w_bit
-    graph = Graph(n, rows)
+    graph = Graph(n, rows + [indep])
     blocks = {
         "clique_small": _range_mask(0, a - 1),
         "clique_big": _range_mask(a - 1, n - 2 * a - 1),
@@ -75,8 +101,8 @@ def h_nab(n: int, a: int, b: int) -> LabeledConstruction:
     if big < a - 1:
         # the designated vertex needs a-1 distinct clique neighbors
         raise BadParamsError(f"h_nab requires n - a - b - 1 >= a - 1, got {big}")
-    core = join(complete(a), disjoint_union(complete(big), edgeless(b + 1)))
-    rows = list(core.adj)
+    _check_order("h_nab", n)
+    rows = clique_join(a, (big,) + (1,) * (b + 1))
     special = n - 1
     for v in range(a, a + (a - 1)):  # first a-1 big-clique vertices
         rows[special] |= 1 << v
@@ -100,7 +126,8 @@ def odd_1b(n: int, b: int) -> LabeledConstruction:
         raise BadParamsError(f"odd_1b requires b >= 1, got b={b}")
     if n < b + 3:
         raise BadParamsError(f"odd_1b requires n >= b+3 = {b + 3}, got n={n}")
-    graph = join(complete(1), disjoint_union(complete(n - b - 2), edgeless(b + 1)))
+    _check_order("odd_1b", n)
+    graph = Graph(n, clique_join(1, (n - b - 2,) + (1,) * (b + 1)))
     blocks = {
         "hub": 1,
         "clique_big": _range_mask(1, n - b - 2),
@@ -122,7 +149,8 @@ def book_family(n: int, s: int, b: int) -> LabeledConstruction:
         raise BadParamsError(f"book_family requires b >= 1, got b={b}")
     if n < b + s + 2:
         raise BadParamsError(f"book_family requires n >= b+s+2 = {b + s + 2}, got n={n}")
-    graph = join(complete(s), disjoint_union(complete(n - b - s - 1), edgeless(b + 1)))
+    _check_order("book_family", n)
+    graph = Graph(n, clique_join(s, (n - b - s - 1,) + (1,) * (b + 1)))
     blocks = {
         "clique_small": _range_mask(0, s),
         "clique_big": _range_mask(s, n - b - s - 1),

@@ -30,17 +30,8 @@ from .factors import (
     eta,
     search_scan,
 )
-from .families import book_family, g_na
-from .graph import (
-    Graph,
-    complete,
-    disjoint_union,
-    is_connected,
-    iter_bits,
-    join,
-    min_degree,
-    vertices_of,
-)
+from .families import book_family, clique_join, g_na
+from .graph import Graph, is_connected, iter_bits, mask_of, min_degree, relabel, vertices_of
 from .graph6 import read_graph6, to_graph6
 from .matching import has_perfect_matching
 from .spectral import (
@@ -194,38 +185,27 @@ class GnaMatch:
 def recognize_gna(g: Graph, a: int) -> GnaMatch:
     """Exact structural test for membership in the g_na family.
 
-    Locates the added vertex by degree a+1, reads the independent block off
-    its neighborhood, the small clique off the degree-(n-2) vertices, and
-    verifies every adjacency row exactly.  Returns False on any mismatch.
+    The small clique is the degree-(n-2) vertices; each degree-(a+1) vertex
+    is tried as w, its neighborhood as the independent block.  A candidate
+    matches iff relabeling ``g_na(n, a).graph`` block by block onto it gives
+    g; each block is a set of twins there, so the order inside is free.
     """
     n = g.n
     if a < 2 or n < 2 * a + 3:
         return GnaMatch(False)
     degs = g.degrees()
-    full = g.full_mask
-    small_mask = 0
-    for v in range(n):
-        if degs[v] == n - 2:
-            small_mask |= 1 << v
+    small_mask = mask_of(v for v in range(n) if degs[v] == n - 2)
     if small_mask.bit_count() != a - 1:
         return GnaMatch(False)
+    target = g_na(n, a).graph
     for w in range(n):
-        if degs[w] != a + 1:
-            continue
-        w_bit = 1 << w
         indep = g.adj[w]
-        if (small_mask | indep) & w_bit or small_mask & indep:
+        if degs[w] != a + 1 or small_mask & indep:
             continue
-        big_mask = full ^ small_mask ^ indep ^ w_bit
-        if big_mask.bit_count() != n - 2 * a - 1:
-            continue
-        ok = all(g.adj[v] == (small_mask | w_bit) for v in iter_bits(indep))
-        ok = ok and all(g.adj[v] == (full ^ w_bit ^ (1 << v)) for v in iter_bits(small_mask))
-        ok = ok and all(
-            g.adj[v] == ((small_mask | big_mask) ^ (1 << v)) for v in iter_bits(big_mask)
-        )
-        if ok:
-            blocks = {"clique_small": small_mask, "clique_big": big_mask, "indep": indep, "w": w_bit}
+        w_bit = 1 << w  # degree a+1 < n-2, so w lies outside the small clique
+        big_mask = g.full_mask ^ small_mask ^ indep ^ w_bit
+        blocks = {"clique_small": small_mask, "clique_big": big_mask, "indep": indep, "w": w_bit}
+        if relabel(target, [v for mask in blocks.values() for v in iter_bits(mask)]) == g:
             return GnaMatch(True, blocks)
     return GnaMatch(False)
 
@@ -527,14 +507,6 @@ def _partitions_exact(total: int, parts: int, cap: int | None = None):
             yield (first,) + rest
 
 
-def clique_union_join(s: int, sizes: tuple[int, ...]) -> Graph:
-    """K_s joined to a disjoint union of cliques of the given sizes."""
-    inner = complete(sizes[0])
-    for size in sizes[1:]:
-        inner = disjoint_union(inner, complete(size))
-    return join(complete(s), inner)
-
-
 def grid_clique_merge_dominance(n_max: int = 14, s_max: int = 3, q_max: int = 4) -> GridReport:
     """The one-big-clique composition dominates every other clique composition."""
     report = GridReport(
@@ -546,10 +518,10 @@ def grid_clique_merge_dominance(n_max: int = 14, s_max: int = 3, q_max: int = 4)
             for n in range(s + q, n_max + 1):
                 compositions = _partitions_exact(n - s, q)
                 extreme = next(compositions)  # descending order yields one big clique first
-                rho_extreme = spectral_radius(clique_union_join(s, extreme)).rho
+                rho_extreme = spectral_radius(Graph(n, clique_join(s, extreme))).rho
                 report.add(n, s, q, "+".join(map(str, extreme)), rho_extreme, rho_extreme, 0.0, True)
                 for sizes in compositions:
-                    rho = spectral_radius(clique_union_join(s, sizes)).rho
+                    rho = spectral_radius(Graph(n, clique_join(s, sizes))).rho
                     margin = rho_extreme - rho
                     ok = rho <= rho_extreme + 1e-9 and margin > STRICT_MARGIN
                     report.add(n, s, q, "+".join(map(str, sizes)), rho, rho_extreme, margin, ok)

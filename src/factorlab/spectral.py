@@ -24,6 +24,7 @@ minimum row sum.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 from math import sqrt
 from operator import mul
@@ -76,10 +77,6 @@ class CubicPoly:
     """Monic integer cubic c[0] x^3 + c[1] x^2 + c[2] x + c[3]."""
 
     coeffs: tuple[int, int, int, int]
-
-    def evaluate(self, x: int) -> int:
-        c = self.coeffs
-        return ((c[0] * x + c[1]) * x + c[2]) * x + c[3]
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -257,11 +254,11 @@ def charpoly_coefficients(entries: tuple[tuple[int, ...], ...]) -> list[int]:
     return poly
 
 
-def _eval_exact(coeffs: list[int], x: float) -> int:
+def _eval_exact(coeffs: Sequence[int], x: float) -> int:
     """p(x) den^deg as an exact integer, x = num / den with den a power of two.
 
     ``coeffs`` run highest power first.  den > 0, so the result has the sign
-    of p(x), and Horner's rule stays in integers.  x must be finite.
+    of p(x), and is p(x) for an int x.  x must be finite.
     """
     num, den = x.as_integer_ratio()
     acc, scale = 0, 1
@@ -321,7 +318,7 @@ def book_charpoly(n: int, s: int, b: int) -> tuple[CubicPoly, int, int]:
     c1 = -(n + b * s + s - b - 2)
     c0 = -b * b * s + b * n * s - b * s * s - 3 * b * s + n * s - s * s - 2 * s
     poly = CubicPoly((1, c2, c1, c0))
-    return poly, poly.evaluate(n - b - 1), poly.evaluate(n - b - 2)
+    return poly, _eval_exact(poly.coeffs, n - b - 1), _eval_exact(poly.coeffs, n - b - 2)
 
 
 def edge_rotation(g: Graph, vi: int, vj: int, moved: VertexSet) -> Graph:

@@ -71,6 +71,12 @@ class TestConstruct:
         assert code == 2
         assert "error" in err
 
+    def test_order_above_limit_names_n(self, capsys):
+        # rejected before any adjacency row is built, naming the requested order
+        code, out, err = run_cli(capsys, ["construct", "g-na", "--n", "20000", "--a", "2"])
+        assert code == 2 and out == ""
+        assert "20000" in err and len(err.strip().splitlines()) == 1
+
 
 class TestRho:
     def test_k10(self, capsys, monkeypatch):

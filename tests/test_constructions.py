@@ -5,7 +5,9 @@ import pytest
 from factorlab import (
     BadParamsError,
     ParityParams,
+    Graph,
     book_family,
+    clique_join,
     complete,
     components,
     delete_set,
@@ -21,7 +23,8 @@ from factorlab import (
     quotient,
     vertices_of,
 )
-from factorlab.graph import validate
+from factorlab.graph import MAX_VERTICES, validate
+from factorlab.harness import _partitions_exact
 from factorlab.spectral import QuotientMatrix
 
 
@@ -179,3 +182,86 @@ class TestBookFamily:
             book_family(7, 2, 4)
         with pytest.raises(BadParamsError):
             book_family(10, 0, 4)
+
+
+# ---------------------------------------------------------------------------
+# clique_join against the chained graph.py builders
+
+
+def chained_join(s, sizes):
+    """K_s joined to the union of K_c, c in sizes, as the families once built it."""
+    inner = complete(sizes[0])
+    for c in sizes[1:]:
+        inner = disjoint_union(inner, complete(c))
+    return join(complete(s), inner)
+
+
+def chained_gna(n, a):
+    core = join(complete(a - 1), disjoint_union(complete(n - 2 * a - 1), edgeless(a + 1)))
+    rows = list(core.adj) + [sum(1 << v for v in range(n - a - 2, n - 1))]
+    for v in range(n - a - 2, n - 1):
+        rows[v] |= 1 << (n - 1)
+    return Graph(n, rows)
+
+
+def chained_hnab(n, a, b):
+    core = join(complete(a), disjoint_union(complete(n - a - b - 1), edgeless(b + 1)))
+    rows = list(core.adj)
+    for v in range(a, 2 * a - 1):
+        rows[n - 1] |= 1 << v
+        rows[v] |= 1 << (n - 1)
+    return Graph(n, rows)
+
+
+def chained_book(n, s, b):
+    return join(complete(s), disjoint_union(complete(n - b - s - 1), edgeless(b + 1)))
+
+
+class TestCliqueJoin:
+    def test_families_match_chained_builders(self):
+        checked = 0
+        for n in range(4, 33):
+            for a in range(2, (n - 3) // 2 + 1):
+                assert g_na(n, a).graph == chained_gna(n, a), (n, a)
+                checked += 1
+            for b in range(1, n - 2):
+                assert odd_1b(n, b).graph == chained_book(n, 1, b), (n, b)
+                for s in range(1, n - b - 1):
+                    assert book_family(n, s, b).graph == chained_book(n, s, b), (n, s, b)
+                for a in range(1, b):
+                    if n - a - b - 1 >= max(a - 1, 1):
+                        assert h_nab(n, a, b).graph == chained_hnab(n, a, b), (n, a, b)
+                        checked += 1
+        assert checked > 400
+
+    def test_lemma26_compositions_match(self):
+        count = 0
+        for s in range(1, 4):
+            for q in range(1, 5):
+                for n in range(s + q, 15):
+                    for sizes in _partitions_exact(n - s, q):
+                        assert Graph(n, clique_join(s, sizes)) == chained_join(s, sizes), (s, sizes)
+                        count += 1
+        assert count == 467  # the lemma2.6 grid at its defaults
+
+    def test_labels(self):
+        # K_2 first, then a triangle on 2..4, then isolated vertices 5 and 6
+        rows = clique_join(2, (3, 1, 1))
+        assert rows[0] == 0b1111110 and rows[1] == 0b1111101
+        assert rows[2:5] == [0b11011, 0b10111, 0b01111]
+        assert rows[5:] == [0b11, 0b11]
+        assert clique_join(0, (2,)) == [0b10, 0b01] and clique_join(3, ()) == list(complete(3).adj)
+
+    def test_bad_input(self):
+        for s, sizes in [(-1, (2,)), (1, (0,)), (1, (3, -1)), (1, (MAX_VERTICES,))]:
+            with pytest.raises(BadParamsError):
+                clique_join(s, sizes)
+
+    def test_order_above_limit_rejected_naming_n(self):
+        # rejected before any row or clique-size tuple is built
+        for n in (MAX_VERTICES + 1, 10**9):
+            for build, args in [(g_na, (2,)), (h_nab, (2, 4)), (odd_1b, (3,)), (book_family, (2, 5)),
+                                (book_family, (1, n - 5))]:
+                with pytest.raises(BadParamsError, match=str(n)):
+                    build(n, *args)
+        assert g_na(MAX_VERTICES, 2).graph.n == MAX_VERTICES

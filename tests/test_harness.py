@@ -102,6 +102,26 @@ class TestRecognizeGna:
                 assert not recognize_gna(Graph(g.n, rows), 3).is_gna
                 break
 
+    def test_degree_preserving_switch_breaks_it(self):
+        # trade w-x (x independent) and y-z (inside the big clique) for w-y and x-z
+        cons = g_na(15, 3)
+        g = cons.graph
+        w = cons.blocks["w"].bit_length() - 1
+        x = (cons.blocks["indep"] & -cons.blocks["indep"]).bit_length() - 1
+        y, z = [v for v in range(g.n) if cons.blocks["clique_big"] >> v & 1][:2]
+        rows = list(g.adj)
+        for u, v in ((w, x), (y, z), (w, y), (x, z)):
+            rows[u] ^= 1 << v
+            rows[v] ^= 1 << u
+        from factorlab.graph import Graph
+
+        switched = Graph(g.n, rows)
+        assert switched.degrees() == g.degrees() and switched.m == g.m
+        assert not recognize_gna(switched, 3).is_gna
+        perm = list(range(g.n))
+        random.Random(5).shuffle(perm)
+        assert not recognize_gna(relabel(switched, perm), 3).is_gna
+
     def test_wrong_family_members(self):
         assert not recognize_gna(complete(15), 3).is_gna
         assert not recognize_gna(g_na(15, 3).graph, 4).is_gna
