@@ -456,6 +456,10 @@ def golden_witness_rows():
         for k in range(2):
             g = sample_connected_min_degree(n, 2, random.Random(f"golden:{n}:{k}"))
             cases.append((g, [ParityParams(2, 4)]))
+    return witness_rows(cases)
+
+
+def witness_rows(cases):
     for g, params in cases:
         for p, v in zip(params, criterion_scan(g, params)):
             w = v.witness
@@ -466,6 +470,31 @@ def golden_witness_rows():
 def test_golden_witness_digest():
     text = "\n".join(golden_witness_rows()) + "\n"
     assert hashlib.sha256(text.encode()).hexdigest() == GOLDEN_WITNESS_DIGEST
+
+
+# the same rows above CRITERION_EXACT_LIMIT, where the bound prefilter picks
+# the R to walk: g_na(n, a) at every valid n in 11..16 with b = a, a+2, a+4,
+# and seeded G(n, p) graphs with the six oracle pairs.  Recorded before the
+# prefilter counted 2e(T); a sound prefilter moves no byte.
+BOUND_ROUTE_DIGEST = "5554fd09460b9859d2458d1139389ef4c7bda8e86a518eed4eafcde1a2def52e"
+
+
+def bound_route_rows():
+    cases = []
+    for a in range(2, 6):
+        for n in range(max(11, 2 * a + 3), 17):
+            if n * a % 2 == 0:
+                cases.append((g_na(n, a).graph, [ParityParams(a, b) for b in (a, a + 2, a + 4)]))
+    for n in range(11, 15):
+        for k, p in enumerate((0.3, 0.5, 0.7)):
+            g = random_graph(n, p, random.Random(f"bound:{n}:{k}"))
+            cases.append((g, [q for q in PAIRS if n * q.a % 2 == 0]))
+    return witness_rows(cases)
+
+
+def test_bound_route_digest():
+    text = "\n".join(bound_route_rows()) + "\n"
+    assert hashlib.sha256(text.encode()).hexdigest() == BOUND_ROUTE_DIGEST
 
 
 # sha256 over one row per (graph, pair) of the n <= 7 corpus, recorded from
