@@ -14,7 +14,9 @@ factor exists.  Both are exponential.  On up to ``CRITERION_EXACT_LIMIT``
 vertices the sweep bounds eta on all 3^n assignments at once in numpy,
 evaluates it exactly on the few the bound leaves, and searches for T only
 where a violation is known to lie, so a pair with a factor searches none;
-``search_scan`` builds the search's edge order once for several pairs.
+above it a lower bound that counts the edges inside T through a clique
+cover of G picks where to search.  ``search_scan`` builds the search's
+edge order once for several pairs.
 ``decide_by_matching`` is polynomial: a parity factor is a general factor
 whose allowed degrees have gaps of one, so it exists iff the parity gadget
 (Cornuejols, "General factors of graphs", 1988) has a perfect matching,
@@ -46,7 +48,7 @@ from .matching import max_matching
 CRITERION_VERTEX_LIMIT = 18
 CRITERION_TABLE_LIMIT = 24  # force=True stops here: 2^n-entry tables, ~12 bytes each
 CRITERION_EXACT_LIMIT = 10  # exact R filter from all 3^n (R, T) pairs up to here, the bound above
-FOREST_BLOCK = 1 << 16  # masks per pass of _component_forest: bounds numpy's intp index temporaries
+FOREST_BLOCK = 1 << 16  # masks per pass of _component_forest and _prefilter, a power of two: bounds the temporaries
 SEARCH_EDGE_LIMIT = 40
 
 
@@ -179,11 +181,13 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
     of G[R].  Per graph, ``_component_forest`` tabulates in numpy the
     components of every R.  Up to ``CRITERION_EXACT_LIMIT`` vertices
     ``_exact_keep`` keeps, per pair, exactly the R with a violating T inside
-    W; above it ``_prefilter`` keeps the R with sum_{x in W} min(b, d_R(x) -
-    a) - c(R) <= -2, a lower bound on eta over those T.  A pair that keeps
-    no R has a factor and is done.  The others walk their kept R in
-    ascending order until each has a witness, which on the exact table is
-    at its first kept R: one DFS per factor-free pair.  W is sorted by
+    W; above it ``_prefilter`` keeps the R where a lower bound on eta over
+    those T is <= -2: b|W| + sum_K sum_j min(0, v_j + 2j) - c(R) over the
+    cliques K of a clique cover, v_0 <= v_1 <= ... the values d_R(x) - a - b
+    on K & W, as the t vertices of T in K span t(t - 1)/2 edges.  A pair
+    that keeps no R has a factor and is done.  The others walk their kept R
+    in ascending order until each has a witness, which on the exact table
+    is at its first kept R: one DFS per factor-free pair.  W is sorted by
     (d_R(x), x), the order of d_R(x) - a - b for every pair, so it and the
     component-parity bits are shared by the pairs, and ``_violating_t``
     walks the T inside W in DFS preorder.  A pair's witness is its first
@@ -337,30 +341,79 @@ def _exact_keep(adj, n: int, first: np.ndarray, ncomp: np.ndarray, params_list: 
     return keep
 
 
-def _prefilter(adj, n: int, ncomp: np.ndarray, params_list: list[ParityParams]) -> np.ndarray:
-    """keep[i, R]: whether sum_{x in W} min(b, d_R(x) - a) - c(R) <= -2 for pair i.
+def _clique_cover(adj, n: int) -> list[list[int]]:
+    """Vertex-disjoint cliques covering V, found greedily.
 
-    That sum bounds eta(S,T) from below for every T inside W = V - R.  Each
-    d_R column is built by doubling over the vertices in uint8 and added to
-    an int16 bound.  As d_R(x) <= n - 1, clamping a to n + 1 and b to n
-    leaves every comparison with -2 as it was.
+    Each clique starts from the vertex with the most neighbours still
+    uncovered and grows by the candidate with the most neighbours among the
+    candidates, ties to the lowest vertex, until no common neighbour is left.
     """
-    size = 1 << n
-    count = len(params_list)
-    lo = np.array([min(p.a, n + 1) for p in params_list], dtype=np.int16).reshape(count, 1, 1)
-    hi = np.array([min(p.b, n) for p in params_list], dtype=np.int16).reshape(count, 1, 1)
-    bound = np.zeros((count, size), dtype=np.int16)
-    col = np.zeros(size, dtype=np.uint8)
-    for x in range(n):
-        half = 1
-        for v in range(n):
-            col[half : 2 * half] = col[:half] + (adj[x] >> v & 1)
-            half *= 2
-        # the masks R without x, viewed as (high bits, bit x = 0, low bits)
-        d = col.reshape(size >> x + 1, 2, 1 << x)[:, 0, :]
-        bound.reshape(count, size >> x + 1, 2, 1 << x)[:, :, 0, :] += np.minimum(d - lo, hi)
-    bound -= ncomp
-    return bound <= -2
+    cover = []
+    left = (1 << n) - 1
+    while left:
+        clique = []
+        cand = left
+        while cand:
+            x = max(iter_bits(cand), key=lambda v: ((adj[v] & cand).bit_count(), -v))
+            clique.append(x)
+            cand &= adj[x]
+        cover.append(clique)
+        left ^= mask_of(clique)
+    return cover
+
+
+def _prefilter(adj, n: int, ncomp: np.ndarray, params_list: list[ParityParams]) -> np.ndarray:
+    """keep[i, R]: whether a lower bound on eta_i over the T inside W = V - R is <= -2.
+
+    eta(S,T) = b|W| + sum_{x in T} v(x) + 2e(T) - q, with v(x) = d_R(x) - a -
+    b and q <= c(R).  Take vertex-disjoint cliques K covering V
+    (``_clique_cover``) and t = |T & K|: the t(t - 1)/2 edges of K inside T
+    give 2e(T) >= sum_K t(t - 1), and the t values v(x) on T & K are at
+    least the t smallest on K & W, v_0 <= v_1 <= ....  As t(t - 1) =
+    sum_{j<t} 2j, K adds at least min_t sum_{j<t} (v_j + 2j) = sum_j min(0,
+    v_j + 2j), the terms increasing in j; a singleton adds min(0, v(x)).  So
+
+        eta >= b|W| + sum_K sum_j min(0, v_j + 2j) - c(R).
+
+    The bound is b|S| + ... minimised over T, so lowering b lowers it:
+    clamping b to n drops no R.  For a >= n + 1, T = W alone gives at most
+    |W||R| - a|W| + |W|(|W| - 1) = |W|(n - 1 - a) <= -2|W|, so a and n + 1
+    both keep every R but V, and at R = V the bound is -c(V) for any pair.
+    R is taken in aligned blocks of ``FOREST_BLOCK`` masks.  Per block, row
+    x holds d_R(x), or ``past`` (above every a + b) where x is in R; each
+    clique's rows are sorted once, as the order of v does not depend on the
+    pair, and row j of a clique gains 2j.  Per pair, sum_x min(row, a + b) -
+    n(a + b) is then the double sum.
+    """
+    bits = min(n, FOREST_BLOCK.bit_length() - 1)
+    block = 1 << bits
+    pc = _popcounts(bits)
+    cliques = [k for k in _clique_cover(adj, n) if len(k) > 1]
+    nbit = np.array([[row >> v & 1 for v in range(bits)] for row in adj], dtype=np.uint8)
+    clamped = [(min(p.a, n + 1), min(p.b, n)) for p in params_list]
+    past = 2 * n + 2
+    keep = np.empty((len(params_list), 1 << n), dtype=bool)
+    for start in range(0, 1 << n, block):
+        # d[x, r]: d_R(x) for R = start + r, past for x in R; doubling over r's bits
+        d = np.empty((n, block), dtype=np.uint8)
+        d[:, 0] = [past if start >> x & 1 else (row & start).bit_count() for x, row in enumerate(adj)]
+        for v in range(bits):
+            d[:, 1 << v : 2 << v] = d[:, : 1 << v] + nbit[:, v : v + 1]
+            d[v, 1 << v : 2 << v] = past
+        for k in cliques:
+            rows = d[k]
+            for rnd in range(len(k)):  # odd-even transposition sort
+                lo, up = rows[rnd & 1 : len(k) - 1 : 2], rows[(rnd & 1) + 1 : len(k) : 2]
+                low = np.minimum(lo, up)
+                np.maximum(lo, up, out=up)
+                lo[...] = low
+            d[k] = rows + np.arange(0, 2 * len(k), 2, dtype=np.uint8)[:, None]
+        w = (n - start.bit_count() - pc).astype(np.int16)
+        c = ncomp[start : start + block]
+        for i, (a, b) in enumerate(clamped):
+            terms = np.minimum(d, a + b).sum(axis=0, dtype=np.int16)
+            keep[i, start : start + block] = b * w + terms - n * (a + b) - c <= -2
+    return keep
 
 
 def _violating_t(adj, xs, vs, ps, orsuf, suffmin, acc0, par0):

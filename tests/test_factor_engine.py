@@ -55,6 +55,8 @@ except ImportError:  # cross-check is optional
     nx = None
 
 PAIRS = [ParityParams(*ab) for ab in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))]
+# with a > n + 1 or b > n on small graphs: the R filters clamp a and b
+CLAMP_PAIRS = PAIRS + [ParityParams(2, 60), ParityParams(1, 61), ParityParams(9, 11), ParityParams(10, 10)]
 
 
 def random_graph(n, p, rng):
@@ -349,13 +351,12 @@ class TestDecideByCriterion:
         # keep[i, R] against a brute force over every T inside V - R with the
         # public eta; the large pairs exercise the clamping of a and b (P3 + K1
         # has two odd components, so at R = V the parity of a decides)
-        pairs = PAIRS + [ParityParams(2, 60), ParityParams(1, 61), ParityParams(9, 11), ParityParams(10, 10)]
         rng = random.Random(606)
         graphs = [from_edges(4, [(0, 1), (1, 2)])]
         graphs += [random_graph(rng.randrange(1, 7), rng.choice([0.2, 0.4, 0.7]), rng) for _ in range(24)]
         for g in graphs:
             n = g.n
-            valid = [p for p in pairs if (n * p.a) % 2 == 0]
+            valid = [p for p in CLAMP_PAIRS if (n * p.a) % 2 == 0]
             first, ncomp = factors._component_forest(g.adj, n)
             keep = factors._exact_keep(g.adj, n, first, ncomp, valid)
             full = (1 << n) - 1
@@ -437,6 +438,46 @@ class TestDecideByCriterion:
                     break
             verdict = decide_by_criterion(g, ParityParams(a, b))
             assert verdict.exists == (not violated)
+
+
+class TestPrefilter:
+    def test_clique_cover_partitions_into_cliques(self):
+        rng = random.Random(2024)
+        graphs = [complete(9), edgeless(7), g_na(14, 2).graph, disjoint_union(cycle(5), path(4))]
+        graphs += [random_graph(rng.randrange(1, 16), rng.random(), rng) for _ in range(60)]
+        for g in graphs:
+            cover = factors._clique_cover(g.adj, g.n)
+            assert sorted(v for k in cover for v in k) == list(range(g.n)), to_graph6(g)
+            for k in cover:
+                assert all(g.has_edge(u, v) for i, u in enumerate(k) for v in k[i + 1 :]), (to_graph6(g), k)
+
+    def test_keeps_every_r_with_a_violation(self, monkeypatch):
+        # the kept set contains _exact_keep's; the pairs with a > n + 1 or
+        # b > n exercise the clamping, and a 32-mask block keeps the same R
+        rng = random.Random(1212)
+        graphs = [from_edges(4, [(0, 1), (1, 2)]), g_na(9, 2).graph, complete(6)]
+        graphs += [random_graph(rng.randrange(1, 10), rng.choice([0.2, 0.4, 0.7, 0.9]), rng) for _ in range(40)]
+        graphs += [random_graph(n, p, rng) for n in (11, 12) for p in (0.3, 0.6)]
+        for g in graphs:
+            n = g.n
+            valid = [p for p in CLAMP_PAIRS if (n * p.a) % 2 == 0]
+            first, ncomp = factors._component_forest(g.adj, n)
+            exact = factors._exact_keep(g.adj, n, first, ncomp, valid)
+            kept = factors._prefilter(g.adj, n, ncomp, valid)
+            assert not (exact & ~kept).any(), to_graph6(g)
+            if n >= 7:
+                monkeypatch.setattr(factors, "FOREST_BLOCK", 1 << 5)
+                blocked = factors._prefilter(g.adj, n, ncomp, valid)
+                monkeypatch.undo()
+                assert np.array_equal(blocked, kept), to_graph6(g)
+
+    def test_counts_the_edges_inside_t(self):
+        # without 2e(T) the bound keeps 485..924 R on these; each has one
+        # violating R, and a loss of pruning shows here
+        for n in range(12, 17):
+            g = g_na(n, 2).graph
+            _, ncomp = factors._component_forest(g.adj, n)
+            assert factors._prefilter(g.adj, n, ncomp, [ParityParams(2, 4)]).sum() <= 16, n
 
 
 # sha256 over one row per (graph, pair), recorded from the per-R reference
