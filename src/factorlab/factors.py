@@ -200,7 +200,7 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
     if n > CRITERION_VERTEX_LIMIT:
         if not force:
             raise SizeLimitError(
-                f"criterion decider capped at n <= {CRITERION_VERTEX_LIMIT}; pass force=True to override"
+                f"criterion decider capped at n <= {CRITERION_VERTEX_LIMIT}; pass force=True (CLI: --force) to override"
             )
         if n > CRITERION_TABLE_LIMIT:
             raise SizeLimitError(f"criterion tables hold 2^n entries; n <= {CRITERION_TABLE_LIMIT} even with force")
@@ -540,7 +540,7 @@ def search_scan(
     if g.m > SEARCH_EDGE_LIMIT:
         if not force:
             raise SizeLimitError(
-                f"search decider capped at m <= {SEARCH_EDGE_LIMIT} edges; pass force=True to override"
+                f"search decider capped at m <= {SEARCH_EDGE_LIMIT} edges; pass force=True (CLI: --force) to override"
             )
         warnings.warn(f"edge-subset search over 2^{g.m} subsets; this may take very long")
     degrees = g.degrees()

@@ -196,6 +196,14 @@ class TestCheckParityFactor:
         assert code == 2
         assert len(err.strip().splitlines()) == 1 and "--no-parity" in err
 
+    @pytest.mark.parametrize("method", ["criterion", "search"])
+    def test_size_limit_names_the_force_flag(self, capsys, monkeypatch, method):
+        # g_na(19, 2) is above both soft caps: 19 vertices, 111 edges
+        monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(g_na(19, 2).graph) + "\n"))
+        code, err = run_exit(capsys, ["check-parity-factor", "--a", "2", "--b", "4", "--method", method])
+        assert code == 2
+        assert "--force" in err
+
     def test_identical_outputs_for_identical_inputs(self, capsys, monkeypatch):
         g6 = to_graph6(g_na(11, 2).graph)
         argv = ["check-parity-factor", "--a", "2", "--b", "4", "--method", "both"]
