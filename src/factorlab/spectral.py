@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import sqrt
+from math import sqrt, ulp
 from operator import mul
 
 import numpy as np
@@ -275,10 +275,11 @@ def quotient_rho(q: QuotientMatrix) -> float:
     ``int`` in 0..MAX_VERTICES-1, as ``quotient`` returns them; anything
     else raises ``BadParamsError``.  Constant row sums give the root
     exactly.  Otherwise the largest real part among the LAPACK eigenvalues
-    brackets it; up to 8x8 the bracket is certified by a sign change of the
-    exact characteristic polynomial and bisected to adjacent floats,
-    returning the upper one (the root itself when it is a float).  Each
-    sign is that of the integer ``_eval_exact`` returns.  A Perron root of
+    brackets it, within 16 ulps or else 1e-6; up to 8x8 the bracket is
+    certified by a sign change of the exact characteristic polynomial and
+    bisected to adjacent floats, returning the upper one (the root itself
+    when it is a float).  Each sign is that of the integer ``_eval_exact``
+    returns.  A Perron root of
     even multiplicity, as in a reducible quotient with two equal blocks, has
     no sign change and raises ``NotConvergedError``.
     """
@@ -294,9 +295,13 @@ def quotient_rho(q: QuotientMatrix) -> float:
     if k > 8:
         return root  # exact charpoly bisection is only worthwhile for small matrices
     coeffs = charpoly_coefficients(q.entries)
-    left, right = root - 1e-6, root + 1e-6
-    # certify the bracket: strictly below/above a simple Perron root
-    if not (_eval_exact(coeffs, left) < 0 < _eval_exact(coeffs, right)):
+    # certify the bracket, strictly below/above a simple Perron root: 16 ulps
+    # either side of LAPACK's root, or 1e-6 where that does not certify
+    for width in (16 * ulp(root), 1e-6):
+        left, right = root - width, root + width
+        if _eval_exact(coeffs, left) < 0 < _eval_exact(coeffs, right):
+            break
+    else:
         raise NotConvergedError("characteristic polynomial bracket certification failed")
     while True:
         mid = (left + right) / 2.0
