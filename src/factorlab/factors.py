@@ -388,31 +388,37 @@ def _prefilter(adj, n: int, ncomp: np.ndarray, params_list: list[ParityParams]) 
     bits = min(n, FOREST_BLOCK.bit_length() - 1)
     block = 1 << bits
     pc = _popcounts(bits)
-    cliques = [k for k in _clique_cover(adj, n) if len(k) > 1]
-    nbit = np.array([[row >> v & 1 for v in range(bits)] for row in adj], dtype=np.uint8)
+    cover = _clique_cover(adj, n)
+    order = [x for k in cover for x in k]  # d's rows: each clique is one slice
+    row_of = {x: i for i, x in enumerate(order)}
+    spans = [(end - len(k), end) for k, end in zip(cover, accumulate(map(len, cover))) if len(k) > 1]
+    nbit = np.array([[adj[x] >> v & 1 for v in range(bits)] for x in order], dtype=np.uint8)
     clamped = [(min(p.a, n + 1), min(p.b, n)) for p in params_list]
     past = 2 * n + 2
     keep = np.empty((len(params_list), 1 << n), dtype=bool)
+    d = np.empty((n, block), dtype=np.uint8)
     for start in range(0, 1 << n, block):
-        # d[x, r]: d_R(x) for R = start + r, past for x in R; doubling over r's bits
-        d = np.empty((n, block), dtype=np.uint8)
-        d[:, 0] = [past if start >> x & 1 else (row & start).bit_count() for x, row in enumerate(adj)]
+        # d[row_of[x], r]: d_R(x) for R = start + r, past for x in R; doubling over r's bits
+        d[:, 0] = [past if start >> x & 1 else (adj[x] & start).bit_count() for x in order]
         for v in range(bits):
             d[:, 1 << v : 2 << v] = d[:, : 1 << v] + nbit[:, v : v + 1]
-            d[v, 1 << v : 2 << v] = past
-        for k in cliques:
-            rows = d[k]
-            for rnd in range(len(k)):  # odd-even transposition sort
-                lo, up = rows[rnd & 1 : len(k) - 1 : 2], rows[(rnd & 1) + 1 : len(k) : 2]
+            d[row_of[v], 1 << v : 2 << v] = past
+        for lo_row, hi_row in spans:
+            rows = d[lo_row:hi_row]
+            k = hi_row - lo_row
+            for rnd in range(k):  # odd-even transposition sort, in place
+                lo, up = rows[rnd & 1 : k - 1 : 2], rows[(rnd & 1) + 1 : k : 2]
                 low = np.minimum(lo, up)
                 np.maximum(lo, up, out=up)
                 lo[...] = low
-            d[k] = rows + np.arange(0, 2 * len(k), 2, dtype=np.uint8)[:, None]
+            rows += np.arange(0, 2 * k, 2, dtype=np.uint8)[:, None]
         w = (n - start.bit_count() - pc).astype(np.int16)
         c = ncomp[start : start + block]
-        for i, (a, b) in enumerate(clamped):
-            terms = np.minimum(d, a + b).sum(axis=0, dtype=np.int16)
-            keep[i, start : start + block] = b * w + terms - n * (a + b) - c <= -2
+        # a + b falls from pair to pair, so d can be clipped in place
+        for i in sorted(range(len(clamped)), key=lambda i: -sum(clamped[i])):
+            a, b = clamped[i]
+            np.minimum(d, a + b, out=d)
+            keep[i, start : start + block] = b * w + d.sum(axis=0, dtype=np.int16) - n * (a + b) - c <= -2
     return keep
 
 
