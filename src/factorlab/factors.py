@@ -379,11 +379,12 @@ def _prefilter(adj, n: int, ncomp: np.ndarray, params_list: list[ParityParams]) 
     clamping b to n drops no R.  For a >= n + 1, T = W alone gives at most
     |W||R| - a|W| + |W|(|W| - 1) = |W|(n - 1 - a) <= -2|W|, so a and n + 1
     both keep every R but V, and at R = V the bound is -c(V) for any pair.
-    R is taken in aligned blocks of ``FOREST_BLOCK`` masks.  Per block, row
-    x holds d_R(x), or ``past`` (above every a + b) where x is in R; each
-    clique's rows are sorted once, as the order of v does not depend on the
-    pair, and row j of a clique gains 2j.  Per pair, sum_x min(row, a + b) -
-    n(a + b) is then the double sum.
+    R is taken in aligned blocks of ``FOREST_BLOCK`` masks.  Per block, d
+    has one row per vertex x, the cliques' rows contiguous: d_R(x), or
+    ``past`` (above every a + b) where x is in R.  Each clique's rows are
+    sorted in place once, as the order of v does not depend on the pair,
+    and its row j gains 2j.  Then, pair by pair in falling a + b, d is
+    clipped to a + b and sum_x min(d, a + b) - n(a + b) is the double sum.
     """
     bits = min(n, FOREST_BLOCK.bit_length() - 1)
     block = 1 << bits
@@ -398,7 +399,7 @@ def _prefilter(adj, n: int, ncomp: np.ndarray, params_list: list[ParityParams]) 
     keep = np.empty((len(params_list), 1 << n), dtype=bool)
     d = np.empty((n, block), dtype=np.uint8)
     for start in range(0, 1 << n, block):
-        # d[row_of[x], r]: d_R(x) for R = start + r, past for x in R; doubling over r's bits
+        # d[row_of[x], r] = d_R(x) for R = start + r (past for x in R), doubling over the bits of r
         d[:, 0] = [past if start >> x & 1 else (adj[x] & start).bit_count() for x in order]
         for v in range(bits):
             d[:, 1 << v : 2 << v] = d[:, : 1 << v] + nbit[:, v : v + 1]
@@ -414,7 +415,6 @@ def _prefilter(adj, n: int, ncomp: np.ndarray, params_list: list[ParityParams]) 
             rows += np.arange(0, 2 * k, 2, dtype=np.uint8)[:, None]
         w = (n - start.bit_count() - pc).astype(np.int16)
         c = ncomp[start : start + block]
-        # a + b falls from pair to pair, so d can be clipped in place
         for i in sorted(range(len(clamped)), key=lambda i: -sum(clamped[i])):
             a, b = clamped[i]
             np.minimum(d, a + b, out=d)

@@ -279,9 +279,9 @@ def quotient_rho(q: QuotientMatrix) -> float:
     certified by a sign change of the exact characteristic polynomial and
     bisected to adjacent floats, returning the upper one (the root itself
     when it is a float).  Each sign is that of the integer ``_eval_exact``
-    returns.  A Perron root of
-    even multiplicity, as in a reducible quotient with two equal blocks, has
-    no sign change and raises ``NotConvergedError``.
+    returns.  A Perron root of even multiplicity, as in a reducible quotient
+    with two equal blocks, has no sign change and raises
+    ``NotConvergedError``.
     """
     if not q.entries:
         raise BadParamsError("spectral radius of the empty graph is undefined")
