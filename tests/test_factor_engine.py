@@ -472,8 +472,8 @@ class TestPrefilter:
                 assert np.array_equal(blocked, kept), to_graph6(g)
 
     def test_counts_the_edges_inside_t(self):
-        # without 2e(T) the bound keeps 485..924 R on these; each has one
-        # violating R, and a loss of pruning shows here
+        # the bound without 2e(T) kept 485..924 R on these, the clique bound
+        # keeps 9: a loss of pruning shows here
         for n in range(12, 17):
             g = g_na(n, 2).graph
             _, ncomp = factors._component_forest(g.adj, n)
