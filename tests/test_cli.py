@@ -412,3 +412,28 @@ def test_golden_verify_digests(capsys, tmp_path):
         code, out, _ = run_cli(capsys, ["verify", "--suite", suite, *extra])
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_VERIFY_DIGESTS[suite], (suite, extra)
+
+
+# sha256 of `check-parity-factor` stdout over the n <= 6 corpus plus g_na(12, 2),
+# keeping the graphs whose order n has n*a even (the parity precondition).
+GOLDEN_CHECK_DIGESTS = {
+    (2, 4, "criterion"): "d012a13dced33bc55770a75f940db118b7b5910a07a862df1c095eb4f30cb0c6",
+    (2, 4, "search"): "dfda1c74e2b6de1280ade070b51dc5db9e85fb52ffa97b52dee6952a7f61d836",
+    (2, 4, "both"): "e74618be720d056772ae4aab59f4722705951705bce2e9569cf63dced2761809",
+    (2, 4, "matching"): "c72a339f7382ec08ec7daf313ff09fc3e8030d80061a4028525e90ce183aacec",
+    (1, 3, "criterion"): "e5df766c23d89e01a5ac23b973851cf9787e98c908222b8a121b063734965f99",
+    (1, 3, "search"): "e4cbb8fb74a3dc56e984796ddabee9f2e517d2f7968f6ec9878680c73b74dc30",
+    (1, 3, "both"): "1ad77d089c83341dbb7956ae7226dfc47ae7f6ab2f6327e7ed06a304ec360976",
+    (1, 3, "matching"): "65af9dbe3324d1bde17c2594d79fe9e89448294b4d53cf5141688a33a431bd0d",
+}
+
+
+@pytest.mark.parametrize("a,b,method", list(GOLDEN_CHECK_DIGESTS))
+def test_golden_check_digests(capsys, monkeypatch, a, b, method):
+    graphs = [g for n in range(1, 7) for g in bundled_connected_graphs(n) if n * a % 2 == 0]
+    graphs.append(g_na(12, 2).graph)
+    stdin = "".join(to_graph6(g) + "\n" for g in graphs)
+    argv = ["check-parity-factor", "--a", str(a), "--b", str(b), "--method", method]
+    code, out, _ = run_cli(capsys, argv, stdin=stdin, monkeypatch=monkeypatch)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_CHECK_DIGESTS[(a, b, method)]
