@@ -14,13 +14,15 @@ from contextlib import nullcontext
 
 from . import harness
 from .errors import BadParamsError, FactorLabError, Graph6Error
-from .factors import ParityParams, decide_by_criterion, decide_by_matching, decide_by_search
+from .factors import ParityParams, decide_by_criterion, decide_by_matching, decide_by_search, verify_certificate
 from .families import book_family, g_na, h_nab, odd_1b
 from .graph import MAX_VERTICES, mask_of, vertices_of
 from .graph6 import read_graph6, read_graph6_file, to_graph6
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, NotEquitable, quotient, quotient_rho, spectral_radius
 
-FAMILIES = {"g-na": g_na, "h-nab": h_nab, "odd-1b": odd_1b, "book": book_family}
+# family name -> (builder, the options it needs besides --n)
+FAMILIES = {"g-na": (g_na, ("a",)), "h-nab": (h_nab, ("a", "b")), "odd-1b": (odd_1b, ("b",)),
+            "book": (book_family, ("s", "b"))}
 
 
 def _read_input_graphs(args) -> list:
@@ -33,13 +35,10 @@ def _read_input_graphs(args) -> list:
     return graphs
 
 
-NEEDED = {"g-na": ("a",), "h-nab": ("a", "b"), "odd-1b": ("b",), "book": ("s", "b")}
-
-
 def _cmd_construct(args) -> int:
-    build = FAMILIES[args.family]
+    build, needed = FAMILIES[args.family]
     kwargs = {"n": args.n}
-    for name in NEEDED[args.family]:
+    for name in needed:
         value = getattr(args, name)
         if value is None:
             print(f"construct {args.family} requires --{name}", file=sys.stderr)
@@ -100,20 +99,26 @@ def _cmd_rho(args) -> int:
     return 0
 
 
-def _certificate(cert) -> dict:
-    return {"edges": [list(e) for e in cert.edges], "degrees": list(cert.degrees)}
+# decider name -> its verdict on (graph, params, parsed arguments)
+DECIDERS = {
+    "criterion": lambda g, params, args: decide_by_criterion(g, params, force=args.force),
+    "search": lambda g, params, args: decide_by_search(g, params, parity=not args.no_parity, force=args.force),
+    "matching": lambda g, params, args: decide_by_matching(g, params),  # no size cap, so --force does not apply
+}
+# --method -> the deciders it runs, in order; "both" also reports whether they agree
+METHODS = {"criterion": ("criterion",), "search": ("search",), "both": ("criterion", "search"), "matching": ("matching",)}
 
 
 def _cmd_check(args) -> int:
     params = ParityParams(args.a, args.b)
-    if args.method == "matching" and args.no_parity:
-        raise BadParamsError("--method matching decides parity factors only; drop --no-parity")
+    if args.no_parity and args.method != "search":
+        raise BadParamsError("--no-parity needs --method search; the other methods decide parity factors only")
     graphs = _read_input_graphs(args)
     for g in graphs:
         result: dict = {"n": g.n, "m": g.m, "a": args.a, "b": args.b}
-        if args.method in ("criterion", "both"):
-            v = decide_by_criterion(g, params, force=args.force)
-            result["criterion"] = "exists" if v.exists else "no_factor"
+        for name in METHODS[args.method]:
+            v = DECIDERS[name](g, params, args)
+            result[name] = "exists" if v.exists else "no_factor"
             if v.witness is not None:
                 w = v.witness
                 result["witness"] = {
@@ -123,16 +128,11 @@ def _cmd_check(args) -> int:
                     "q": w.q,
                     "deg_sum": w.deg_sum,
                 }
-        if args.method in ("search", "both"):
-            v = decide_by_search(g, params, parity=not args.no_parity, force=args.force)
-            result["search"] = "exists" if v.exists else "no_factor"
             if v.certificate is not None:
-                result["certificate"] = _certificate(v.certificate)
-        if args.method == "matching":  # no size cap, so --force does not apply
-            v = decide_by_matching(g, params)
-            result["matching"] = "exists" if v.exists else "no_factor"
-            if v.certificate is not None:
-                result["certificate"] = _certificate(v.certificate)
+                cert = v.certificate
+                if not verify_certificate(g, cert, params, parity=not args.no_parity):
+                    raise FactorLabError(f"{name}: certificate rejected by verify_certificate on {to_graph6(g)}")
+                result["certificate"] = {"edges": [list(e) for e in cert.edges], "degrees": list(cert.degrees)}
         if args.method == "both":
             result["agree"] = result["criterion"] == result["search"]
         print(json.dumps(result, sort_keys=True))
@@ -207,11 +207,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--a", type=int, required=True)
     p.add_argument("--b", type=int, required=True)
     p.add_argument(
-        "--method", choices=("criterion", "search", "both", "matching"), default="both",
+        "--method", choices=METHODS, default="both",
         help="both runs criterion and search; matching is the polynomial parity gadget",
     )
     p.add_argument("--force", action="store_true", help="lift the soft size limits of criterion and search")
-    p.add_argument("--no-parity", action="store_true", help="search for a plain [a,b]-factor (not with matching)")
+    p.add_argument("--no-parity", action="store_true", help="search for a plain [a,b]-factor (--method search only)")
     p.add_argument("--in", dest="infile")
     p.set_defaults(func=_cmd_check)
 

@@ -196,6 +196,29 @@ class TestCheckParityFactor:
         assert code == 2
         assert len(err.strip().splitlines()) == 1 and "--no-parity" in err
 
+    @pytest.mark.parametrize("method", [None, "both", "criterion"])
+    def test_no_parity_needs_method_search(self, capsys, monkeypatch, method):
+        # K_{2,3}: under `both`, --no-parity compared the parity criterion with
+        # the plain search and printed "agree": false; criterion ignored it
+        monkeypatch.setattr("sys.stdin", io.StringIO("D]o\n"))
+        argv = ["check-parity-factor", "--a", "2", "--b", "4", "--no-parity"]
+        code = main(argv + (["--method", method] if method else []))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "--no-parity" in err
+
+    def test_bogus_certificate_is_refused(self, capsys, monkeypatch):
+        from factorlab import FactorCertificate, Verdict, cycle
+
+        bogus = Verdict(exists=True, certificate=FactorCertificate(edges=((0, 3),), degrees=(1, 0, 0, 1, 0, 0)))
+        monkeypatch.setattr(cli, "decide_by_search", lambda *args, **kwargs: bogus)
+        code, out, err = run_cli(
+            capsys, ["check-parity-factor", "--a", "2", "--b", "2", "--method", "search"],
+            stdin=to_graph6(cycle(6)) + "\n", monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "certificate" in err
+
     @pytest.mark.parametrize("method", ["criterion", "search"])
     def test_size_limit_names_the_force_flag(self, capsys, monkeypatch, method):
         # g_na(19, 2) is above both soft caps: 19 vertices, 111 edges
