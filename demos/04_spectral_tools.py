@@ -37,8 +37,8 @@ for row in qm.entries:
 print("  quotient rho :", quotient_rho(qm))
 print("  full-graph rho:", spectral_radius(cons.graph).rho)
 
-poly, at_nb1, at_nb2 = book_charpoly(30, 2, 5)
-print("  cubic coefficients:", poly.coeffs)
+coeffs, at_nb1, at_nb2 = book_charpoly(30, 2, 5)
+print("  cubic coefficients:", coeffs)
 print("  P(n-b-2) =", at_nb2, "= -(b+1)s^2 =", -(5 + 1) * 4)
 print("  so the quotient radius stays below n-b-1 =", 30 - 5 - 1)
 

@@ -54,7 +54,6 @@ from .graph import (
 )
 from .graph6 import from_graph6, read_graph6, read_graph6_file, to_graph6, write_graph6_file
 from .harness import (
-    GnaMatch,
     GridReport,
     SurveyRecord,
     SurveyReport,
@@ -72,7 +71,6 @@ from .harness import (
 )
 from .matching import has_perfect_matching, max_matching_size
 from .spectral import (
-    CubicPoly,
     NotEquitable,
     QuotientMatrix,
     SpectralResult,

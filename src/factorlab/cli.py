@@ -113,21 +113,15 @@ def _cmd_check(args) -> int:
     params = ParityParams(args.a, args.b)
     if args.no_parity and args.method != "search":
         raise BadParamsError("--no-parity needs --method search; the other methods decide parity factors only")
-    graphs = _read_input_graphs(args)
-    for g in graphs:
+    for g in _read_input_graphs(args):
         result: dict = {"n": g.n, "m": g.m, "a": args.a, "b": args.b}
         for name in METHODS[args.method]:
             v = DECIDERS[name](g, params, args)
             result[name] = "exists" if v.exists else "no_factor"
             if v.witness is not None:
                 w = v.witness
-                result["witness"] = {
-                    "S": vertices_of(w.s_set),
-                    "T": vertices_of(w.t_set),
-                    "eta": w.eta,
-                    "q": w.q,
-                    "deg_sum": w.deg_sum,
-                }
+                result["witness"] = {"S": vertices_of(w.s_set), "T": vertices_of(w.t_set),
+                                     "eta": w.eta, "q": w.q, "deg_sum": w.deg_sum}
             if v.certificate is not None:
                 cert = v.certificate
                 if not verify_certificate(g, cert, params, parity=not args.no_parity):

@@ -58,9 +58,8 @@ class SpectralResult:
 
 @dataclass(frozen=True)
 class QuotientMatrix:
-    """Equitable quotient: parts and the constant block row sums."""
+    """Equitable quotient: the constant block row sums."""
 
-    parts: tuple[int, ...]
     entries: tuple[tuple[int, ...], ...]
 
 
@@ -70,13 +69,6 @@ class NotEquitable:
 
     vertex: int
     part: int
-
-
-@dataclass(frozen=True)
-class CubicPoly:
-    """Monic integer cubic c[0] x^3 + c[1] x^2 + c[2] x + c[3]."""
-
-    coeffs: tuple[int, int, int, int]
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -232,7 +224,7 @@ def quotient(g: Graph, parts: list[VertexSet]) -> QuotientMatrix | NotEquitable:
                 part = next(j for j in range(len(masks)) if counts[j] != row[j])
                 return NotEquitable(vertex=v, part=part)
         entries.append(row)
-    return QuotientMatrix(parts=tuple(masks), entries=tuple(entries))
+    return QuotientMatrix(entries=tuple(entries))
 
 
 def charpoly_coefficients(entries: tuple[tuple[int, ...], ...]) -> list[int]:
@@ -313,17 +305,17 @@ def quotient_rho(q: QuotientMatrix) -> float:
             right = mid
 
 
-def book_charpoly(n: int, s: int, b: int) -> tuple[CubicPoly, int, int]:
+def book_charpoly(n: int, s: int, b: int) -> tuple[tuple[int, int, int, int], int, int]:
     """Characteristic cubic of the 3-block quotient of ``book_family(n, s, b)``.
 
-    Returns the polynomial together with its exact values at n-b-1 and
-    n-b-2, the two evaluation points the spectral bound argument needs.
+    Returns the coefficients (1, c2, c1, c0) and the cubic's exact values at
+    n-b-1 and n-b-2, the two evaluation points the spectral bound argument needs.
     """
     c2 = -(n - b - 3)
     c1 = -(n + b * s + s - b - 2)
     c0 = -b * b * s + b * n * s - b * s * s - 3 * b * s + n * s - s * s - 2 * s
-    poly = CubicPoly((1, c2, c1, c0))
-    return poly, _eval_exact(poly.coeffs, n - b - 1), _eval_exact(poly.coeffs, n - b - 2)
+    coeffs = (1, c2, c1, c0)
+    return coeffs, _eval_exact(coeffs, n - b - 1), _eval_exact(coeffs, n - b - 2)
 
 
 def edge_rotation(g: Graph, vi: int, vj: int, moved: VertexSet) -> Graph:

@@ -7,6 +7,7 @@ import pytest
 from factorlab import (
     Graph6Error,
     book_family,
+    bundled_connected_graphs,
     complete,
     cycle,
     edgeless,
@@ -17,8 +18,10 @@ from factorlab import (
     odd_1b,
     path,
     read_graph6,
+    read_graph6_file,
     star,
     to_graph6,
+    write_graph6_file,
 )
 
 try:
@@ -80,6 +83,14 @@ class TestRoundTrip:
             assert from_graph6(line) == g
             if n > 62:
                 assert line.startswith("~")
+
+    def test_file(self, tmp_path):
+        # one graph6 line per graph; cycle(63) takes the extended "~" header
+        graphs = [g for n in range(1, 6) for g in bundled_connected_graphs(n)] + [cycle(63)]
+        path = tmp_path / "corpus.g6"
+        write_graph6_file(path, graphs)
+        assert path.read_text().splitlines()[-1].startswith("~")
+        assert read_graph6_file(path) == graphs
 
 
 @pytest.mark.skipif(nx is None, reason="networkx unavailable")
