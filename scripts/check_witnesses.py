@@ -11,9 +11,12 @@ valid (graph, pair):
 skipped, as the decider rejects them).  The sha256 of those rows must equal
 ``PINNED``, recorded from the per-R reference sweep the table-driven kernel
 replaced, so any change to a verdict or to a witness's bytes shows here.
+Every witness must also pass ``verify_witness``: its cells recomputed from
+its (S, T), and eta <= -2.
 
 Run from the repository root:  python scripts/check_witnesses.py
-Prints the digest and the elapsed time; exits 0 on a match and 1 otherwise.
+Prints the digest, the count of rejected witnesses and the elapsed time;
+exits 0 on a match with none rejected and 1 otherwise.
 """
 
 import hashlib
@@ -23,32 +26,38 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from factorlab import ParityParams, bundled_connected_graphs, criterion_scan, to_graph6  # noqa: E402
+from factorlab import ParityParams, bundled_connected_graphs, criterion_scan, to_graph6, verify_witness  # noqa: E402
 
-PAIRS = ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))
+PAIRS = [ParityParams(a, b) for a, b in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))]
 PINNED = "ba39f9f9157a9957e6a3cc3a4cad9223a448b5efdeeea500f4b0adae89738ec1"
 
 
-def corpus_digest() -> str:
+def corpus_digest() -> tuple[str, int]:
+    """The sha256 of the rows, and how many witnesses ``verify_witness`` rejects."""
     h = hashlib.sha256()
+    rejected = 0
     for n in range(1, 9):
-        params = [ParityParams(a, b) for a, b in PAIRS if (n * a) % 2 == 0]
+        params = [p for p in PAIRS if p.admits(n)]
         for g in bundled_connected_graphs(n):
             g6 = to_graph6(g)
             for p, v in zip(params, criterion_scan(g, params)):
                 w = v.witness
                 cells = ("", "", "", "", "") if w is None else (w.s_set, w.t_set, w.eta, w.q, w.deg_sum)
                 h.update(",".join(map(str, (g6, p.a, p.b, int(v.exists), *cells))).encode() + b"\n")
-    return h.hexdigest()
+                if w is not None and not verify_witness(g, w, p):
+                    rejected += 1
+                    print(f"witness rejected: {g6} at (a, b) = ({p.a}, {p.b})")
+    return h.hexdigest(), rejected
 
 
 def main() -> int:
     start = time.perf_counter()
-    digest = corpus_digest()
+    digest, rejected = corpus_digest()
     elapsed = time.perf_counter() - start
-    ok = digest == PINNED
+    ok = digest == PINNED and rejected == 0
     print(f"digest {digest}")
     print(f"pinned {PINNED}")
+    print(f"rejected witnesses {rejected}")
     print(f"{'match' if ok else 'MISMATCH'} in {elapsed:.1f} s")
     return 0 if ok else 1
 

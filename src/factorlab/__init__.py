@@ -23,6 +23,7 @@ from .factors import (
     Verdict,
     a_odd_count,
     criterion_scan,
+    criterion_witness,
     decide_by_criterion,
     decide_by_matching,
     decide_by_search,
@@ -30,6 +31,7 @@ from .factors import (
     eta_gf,
     search_scan,
     verify_certificate,
+    verify_witness,
 )
 from .families import LabeledConstruction, book_family, clique_join, g_na, h_nab, odd_1b
 from .graph import (

@@ -14,7 +14,9 @@ from contextlib import nullcontext
 
 from . import harness
 from .errors import BadParamsError, FactorLabError, Graph6Error
-from .factors import ParityParams, decide_by_criterion, decide_by_matching, decide_by_search, verify_certificate
+from .factors import (
+    ParityParams, decide_by_criterion, decide_by_matching, decide_by_search, verify_certificate, verify_witness,
+)
 from .families import book_family, g_na, h_nab, odd_1b
 from .graph import MAX_VERTICES, mask_of, vertices_of
 from .graph6 import read_graph6, read_graph6_file, to_graph6
@@ -115,11 +117,16 @@ def _cmd_check(args) -> int:
         raise BadParamsError("--no-parity needs --method search; the other methods decide parity factors only")
     for g in _read_input_graphs(args):
         result: dict = {"n": g.n, "m": g.m, "a": args.a, "b": args.b}
+        if not (args.no_parity or params.admits(g.n)):  # n*a odd: no parity factor at this order
+            print(json.dumps({**result, "status": "skipped_parity"}, sort_keys=True))
+            continue
         for name in METHODS[args.method]:
             v = DECIDERS[name](g, params, args)
             result[name] = "exists" if v.exists else "no_factor"
             if v.witness is not None:
                 w = v.witness
+                if not verify_witness(g, w, params):
+                    raise FactorLabError(f"{name}: witness rejected by verify_witness on {to_graph6(g)}")
                 result["witness"] = {"S": vertices_of(w.s_set), "T": vertices_of(w.t_set),
                                      "eta": w.eta, "q": w.q, "deg_sum": w.deg_sum}
             if v.certificate is not None:

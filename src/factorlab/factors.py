@@ -65,8 +65,12 @@ class ParityParams:
         if (self.a - self.b) % 2 != 0:
             raise ParityPreconditionError(f"need a == b (mod 2), got a={self.a}, b={self.b}")
 
+    def admits(self, n: int) -> bool:
+        """Whether an order n meets the side condition n*a even; a parity factor needs it."""
+        return n * self.a % 2 == 0
+
     def validate_for(self, n: int) -> None:
-        if (n * self.a) % 2 != 0:
+        if not self.admits(n):
             raise ParityPreconditionError(f"n*a must be even, got n={n}, a={self.a}")
 
 
@@ -144,11 +148,24 @@ def a_odd_count(g: Graph, s: VertexSet, t: VertexSet, a: int) -> int:
     return _deficiency(g, s_mask, t_mask, (a,) * g.n, (a,) * g.n)[1]
 
 
-def eta(g: Graph, s: VertexSet, t: VertexSet, params: ParityParams) -> int:
-    """Deficiency b|S| - a|T| + sum_{x in T} d_{G-S}(x) - q(S,T); always even."""
+def criterion_witness(g: Graph, s: VertexSet, t: VertexSet, params: ParityParams) -> CriterionWitness:
+    """The pair (S,T) with its eta, q and deg_sum, checked as ``eta`` checks; it proves no factor iff eta <= -2."""
     params.validate_for(g.n)
     s_mask, t_mask = _disjoint_masks(g, s, t)
-    return _deficiency(g, s_mask, t_mask, (params.a,) * g.n, (params.b,) * g.n)[0]
+    return CriterionWitness(s_mask, t_mask, *_deficiency(g, s_mask, t_mask, (params.a,) * g.n, (params.b,) * g.n))
+
+
+def verify_witness(g: Graph, w: CriterionWitness, params: ParityParams) -> bool:
+    """True iff w's masks are disjoint inside V, ``criterion_witness`` gives w for them and eta <= -2."""
+    try:
+        return criterion_witness(g, w.s_set, w.t_set, params) == w and w.eta <= -2
+    except NonDisjointError:
+        return False
+
+
+def eta(g: Graph, s: VertexSet, t: VertexSet, params: ParityParams) -> int:
+    """Deficiency b|S| - a|T| + sum_{x in T} d_{G-S}(x) - q(S,T); always even."""
+    return criterion_witness(g, s, t, params).eta
 
 
 def eta_gf(g: Graph, s: VertexSet, t: VertexSet, gf: GFParams) -> int:
@@ -241,9 +258,7 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
             par0 = sum(1 << k for k, comp in enumerate(comps) if comp.bit_count() & 1) if a & 1 else 0
             t_mask = _violating_t(adj, xs, vs, ps, orsuf, suffmin, b * len(xs), par0)
             if t_mask is not None:
-                s_mask = w_mask ^ t_mask
-                cells = _deficiency(g, s_mask, t_mask, (a,) * n, (b,) * n)
-                verdicts[i] = Verdict(exists=False, witness=CriterionWitness(s_mask, t_mask, *cells))
+                verdicts[i] = Verdict(exists=False, witness=criterion_witness(g, w_mask ^ t_mask, t_mask, params_list[i]))
                 live.remove(i)
         if not live:
             break

@@ -17,14 +17,12 @@ from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 from multiprocessing import Pool
 
-from .errors import FactorLabError, SamplerExhaustedError
+from .errors import FactorLabError, SamplerExhaustedError, SizeLimitError
 from .factors import (
-    CRITERION_VERTEX_LIMIT,
-    CriterionWitness,
     ParityParams,
     Verdict,
-    _deficiency,
     criterion_scan,
+    criterion_witness,
     decide_by_matching,
     decide_by_search,
     eta,
@@ -215,8 +213,8 @@ def _safe_msg(exc: Exception) -> str:
 def _sweep_one(args: tuple[Graph, list[ParityParams], bool]) -> list[tuple]:
     g, params_list, matching_check = args
     g6 = to_graph6(g)
-    rows = [(g6, g.n, p.a, p.b, "skipped_parity", True, "", "", "") for p in params_list if g.n * p.a % 2]
-    valid = [p for p in params_list if g.n * p.a % 2 == 0]
+    rows = [(g6, g.n, p.a, p.b, "skipped_parity", True, "", "", "") for p in params_list if not p.admits(g.n)]
+    valid = [p for p in params_list if p.admits(g.n)]
     try:
         criterion_verdicts = criterion_scan(g, valid)
     except FactorLabError as exc:
@@ -346,23 +344,23 @@ def _classify(rho: float, rho_extremal: float) -> str:
     return "above" if rho > rho_extremal else "below"
 
 
-def _survey_record(
-    index: int, g: Graph, params: ParityParams, rho_extremal: float, indep: int | None = None
-) -> SurveyRecord:
+def _survey_record(index: int, g: Graph, params: ParityParams, rho_extremal: float) -> SurveyRecord:
+    blocks = recognize_gna(g, params.a)
     verdict = decide_by_matching(g, params)
-    if not verdict.exists and indep is not None and g.n > CRITERION_VERTEX_LIMIT:
-        # g_na past the sweep's cap: S = {}, T = its independent block
-        cells = _deficiency(g, 0, indep, (params.a,) * g.n, (params.b,) * g.n)
-        if cells[0] > -2:
-            raise FactorLabError(f"survey record {index}: g_na's block witness has eta = {cells[0]} > -2")
-        verdict = Verdict(exists=False, witness=CriterionWitness(0, indep, *cells))
-    elif not verdict.exists:
-        verdict = criterion_scan(g, [params])[0]  # for the witness
+    if not verdict.exists:
+        try:
+            verdict = criterion_scan(g, [params])[0]  # for the witness
+        except SizeLimitError:
+            if blocks is None:
+                raise
+            # g_na past the sweep's cap: S = {}, T = its independent block
+            w = criterion_witness(g, 0, blocks["indep"], params)
+            if w.eta > -2:
+                raise FactorLabError(f"survey record {index}: g_na's block witness has eta = {w.eta} > -2")
+            verdict = Verdict(exists=False, witness=w)
         if verdict.exists:
-            raise FactorLabError(
-                f"survey record {index} ({to_graph6(g)}): the matching decider finds no factor,"
-                " the criterion sweep finds one"
-            )
+            raise FactorLabError(f"survey record {index} ({to_graph6(g)}): the matching decider finds no factor,"
+                                 " the criterion sweep finds one")
     rho = spectral_radius(g).rho
     if verdict.exists:
         detail = "eta>=0"
@@ -381,7 +379,7 @@ def _survey_record(
         rho=rho,
         rho_extremal=rho_extremal,
         classification=_classify(rho, rho_extremal),
-        is_gna=recognize_gna(g, params.a) is not None,
+        is_gna=blocks is not None,
         detail=detail,
     )
 
@@ -398,9 +396,9 @@ def survey_theorem(n: int, a: int, b: int, samples: int = 100, seed: int = 0) ->
     factor instead, the two exact deciders disagree and ``FactorLabError``
     is raised rather than either answer kept.
 
-    The extremal graph itself is always record 0.  Above
-    ``CRITERION_VERTEX_LIMIT``, where the sweep refuses, its witness is read
-    off its blocks instead: S = {}, T = the independent block, and
+    The extremal graph itself is always record 0.  A record that the sweep
+    refuses with ``SizeLimitError`` and ``recognize_gna`` matches takes its
+    witness from its blocks: S = {}, T = the independent block, and
     ``FactorLabError`` unless eta <= -2.  Results below the
     theorem's order threshold are reported, never asserted; exceptions are
     stored as findings.
@@ -409,7 +407,7 @@ def survey_theorem(n: int, a: int, b: int, samples: int = 100, seed: int = 0) ->
     params.validate_for(n)
     extremal = g_na(n, a)
     rho_extremal = spectral_radius(extremal.graph).rho
-    records = [_survey_record(0, extremal.graph, params, rho_extremal, extremal.blocks["indep"])]
+    records = [_survey_record(0, extremal.graph, params, rho_extremal)]
     for index in range(1, samples + 1):
         rng = random.Random(f"{seed}:{index}")
         g = sample_connected_min_degree(n, a, rng)
@@ -563,12 +561,11 @@ def grid_gna_no_factor(
         b = a + 2
         params = ParityParams(a, b)
         for n in range(2 * a + 4, n_max + 1):
-            if (n * a) % 2 != 0:
+            if not params.admits(n):
                 continue
             cons = g_na(n, a)
-            t_mask = cons.blocks["indep"]
-            value, q, _ = _deficiency(cons.graph, 0, t_mask, (a,) * n, (b,) * n)
-            ok = value == -2 and q == 2
+            w = criterion_witness(cons.graph, 0, cons.blocks["indep"], params)
+            ok = w.eta == -2 and w.q == 2
             c_no = s_no = ""
             if n <= decide_max:
                 cv = criterion_scan(cons.graph, [params])[0]
@@ -578,7 +575,7 @@ def grid_gna_no_factor(
                     sv = decide_by_search(cons.graph, params, force=True)
                 c_no, s_no = not cv.exists, not sv.exists
                 ok = ok and c_no and s_no
-            report.add(a, b, n, value, q, c_no, s_no, ok)
+            report.add(a, b, n, w.eta, w.q, c_no, s_no, ok)
     return report
 
 
@@ -587,7 +584,7 @@ def grid_parity_evenness(trials: int = 100_000, seed: int = 0) -> GridReport:
     report = GridReport(
         suite="eq1", columns=("block", "trials", "odd_count", "pass")
     )
-    pairs = [(1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (2, 6), (4, 6)]
+    pairs = [ParityParams(a, b) for a, b in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (2, 6), (4, 6))]
     done = 0
     block_idx = 0
     while done < trials:
@@ -597,7 +594,7 @@ def grid_parity_evenness(trials: int = 100_000, seed: int = 0) -> GridReport:
         for _ in range(todo):
             n = rng.randrange(4, 13)
             g = _gnp(n, rng.choice(P_GRID), rng)
-            a, b = rng.choice([(x, y) for x, y in pairs if (n * x) % 2 == 0])
+            params = rng.choice([p for p in pairs if p.admits(n)])
             s_mask = t_mask = 0
             for v in range(n):
                 lot = rng.randrange(3)
@@ -605,7 +602,7 @@ def grid_parity_evenness(trials: int = 100_000, seed: int = 0) -> GridReport:
                     s_mask |= 1 << v
                 elif lot == 1:
                     t_mask |= 1 << v
-            if eta(g, s_mask, t_mask, ParityParams(a, b)) % 2 != 0:
+            if eta(g, s_mask, t_mask, params) % 2 != 0:
                 odd += 1
         report.add(block_idx, todo, odd, odd == 0)
         done += todo

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from factorlab import bundled_connected_graphs, cli, from_graph6, g_na, to_graph6
+from factorlab import ParityParams, bundled_connected_graphs, cli, from_graph6, g_na, to_graph6
 from factorlab.cli import main
 
 
@@ -218,6 +218,41 @@ class TestCheckParityFactor:
         )
         assert code == 2 and out == ""
         assert len(err.strip().splitlines()) == 1 and "certificate" in err
+
+    @pytest.mark.parametrize("method", ["criterion", "search", "both", "matching"])
+    def test_odd_order_is_skipped_not_fatal(self, capsys, monkeypatch, method):
+        # K_2, K_3, K_4 at a = 1: K_3 has n*a odd, and the run carries on to K_4
+        code, out, err = run_cli(
+            capsys, ["check-parity-factor", "--a", "1", "--b", "3", "--method", method],
+            stdin="A_\nBw\nC~\n", monkeypatch=monkeypatch,
+        )
+        assert code == 0 and err == ""
+        first, second, third = map(json.loads, out.strip().split("\n"))
+        assert second == {"a": 1, "b": 3, "m": 3, "n": 3, "status": "skipped_parity"}
+        for line, n in ((first, 2), (third, 4)):
+            assert line["n"] == n and "status" not in line
+            assert all(line[name] == "exists" for name in cli.METHODS[method])
+
+    def test_no_parity_decides_odd_orders(self, capsys, monkeypatch):
+        # the n*a rule is the parity factor's; a plain [1,3]-factor of K_3 exists
+        code, out, _ = run_cli(
+            capsys, ["check-parity-factor", "--a", "1", "--b", "3", "--method", "search", "--no-parity"],
+            stdin="Bw\n", monkeypatch=monkeypatch,
+        )
+        assert code == 0 and json.loads(out)["search"] == "exists"
+
+    def test_bogus_witness_is_refused(self, capsys, monkeypatch):
+        from factorlab import Verdict, criterion_witness, cycle
+
+        # S = T = {} on C_6 at (2,2): the cells are right, but eta = 0 violates nothing
+        clean = criterion_witness(cycle(6), 0, 0, ParityParams(2, 2))
+        monkeypatch.setattr(cli, "decide_by_criterion", lambda *args, **kwargs: Verdict(exists=False, witness=clean))
+        code, out, err = run_cli(
+            capsys, ["check-parity-factor", "--a", "2", "--b", "2", "--method", "criterion"],
+            stdin=to_graph6(cycle(6)) + "\n", monkeypatch=monkeypatch,
+        )
+        assert code == 2 and out == ""
+        assert len(err.strip().splitlines()) == 1 and "witness" in err
 
     @pytest.mark.parametrize("method", ["criterion", "search"])
     def test_size_limit_names_the_force_flag(self, capsys, monkeypatch, method):

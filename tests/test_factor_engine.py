@@ -25,6 +25,7 @@ from factorlab import (
     complete,
     components,
     criterion_scan,
+    criterion_witness,
     cycle,
     decide_by_criterion,
     decide_by_matching,
@@ -36,6 +37,7 @@ from factorlab import (
     from_edges,
     g_na,
     has_perfect_matching,
+    mask_of,
     max_matching_size,
     path,
     sample_connected_min_degree,
@@ -43,6 +45,7 @@ from factorlab import (
     star,
     to_graph6,
     verify_certificate,
+    verify_witness,
     vertices_of,
 )
 from factorlab import factors
@@ -210,6 +213,63 @@ class TestEta:
     def test_disjointness(self):
         with pytest.raises(NonDisjointError):
             eta(complete(4), {1}, {1}, ParityParams(2, 2))
+
+
+class TestCriterionWitness:
+    def test_cells_match_eta_and_deficiency(self):
+        rng = random.Random(29)
+        for _ in range(300):
+            n = rng.randrange(4, 12)
+            g = random_graph(n, rng.choice([0.2, 0.4, 0.6]), rng)
+            params = rng.choice([p for p in PAIRS if p.admits(n)])
+            s, t = random_disjoint_sets(n, rng)
+            w = criterion_witness(g, s, t, params)
+            assert w.eta == eta(g, s, t, params)
+            s_mask, t_mask = mask_of(s), mask_of(t)
+            cells = factors._deficiency(g, s_mask, t_mask, (params.a,) * n, (params.b,) * n)
+            assert w == CriterionWitness(s_mask, t_mask, *cells)
+
+    @pytest.mark.parametrize(
+        "s, t, params, error",
+        [
+            ({1}, {1, 2}, ParityParams(2, 2), NonDisjointError),  # overlapping
+            ({5}, {1}, ParityParams(2, 2), NonDisjointError),  # outside V
+            (0, 1 << 7, ParityParams(2, 2), NonDisjointError),
+            (0, 0, ParityParams(1, 3), ParityPreconditionError),  # n*a odd
+        ],
+    )
+    def test_raises_where_eta_does(self, s, t, params, error):
+        g = complete(5)
+        for fn in (eta, criterion_witness):
+            with pytest.raises(error):
+                fn(g, s, t, params)
+
+    def test_admits_is_the_order_rule(self):
+        assert [ParityParams(1, 3).admits(n) for n in range(1, 6)] == [False, True, False, True, False]
+        assert all(ParityParams(2, 4).admits(n) for n in range(1, 6))
+
+
+class TestVerifyWitness:
+    def test_scan_witnesses_verify(self):
+        for n in range(2, 7):
+            params = [p for p in PAIRS if p.admits(n)]
+            for g in bundled_connected_graphs(n):
+                for p, v in zip(params, criterion_scan(g, params)):
+                    assert v.exists or verify_witness(g, v.witness, p)
+
+    def test_gna_block_witness_and_rejections(self):
+        cons = g_na(12, 2)
+        params = ParityParams(2, 4)
+        w = criterion_witness(cons.graph, 0, cons.blocks["indep"], params)
+        assert verify_witness(cons.graph, w, params)
+        for bad in (
+            CriterionWitness(w.t_set, w.t_set, w.eta, w.q, w.deg_sum),  # S and T overlap
+            CriterionWitness(w.s_set, w.t_set | 1 << 12, w.eta, w.q, w.deg_sum),  # T leaves V
+            CriterionWitness(w.s_set, w.t_set, w.eta - 2, w.q, w.deg_sum),  # cells that are not T's
+            CriterionWitness(w.s_set, w.t_set, w.eta, w.q + 2, w.deg_sum),
+            criterion_witness(cons.graph, 0, 0, params),  # right cells, eta = 0 violates nothing
+        ):
+            assert not verify_witness(cons.graph, bad, params)
 
 
 class TestEtaGF:

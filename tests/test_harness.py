@@ -5,9 +5,11 @@ import random
 import pytest
 
 from factorlab import (
+    CriterionWitness,
     FactorLabError,
     ParityParams,
     SamplerExhaustedError,
+    SizeLimitError,
     bundled_connected_graphs,
     complete,
     decide_by_criterion,
@@ -30,6 +32,7 @@ from factorlab import (
     survey_theorem,
     sweep_oracle_equivalence,
     to_graph6,
+    vertices_of,
 )
 from factorlab import harness
 from factorlab.factors import Verdict
@@ -227,9 +230,26 @@ class TestSurvey:
             assert record.has_factor == decide_by_matching(from_graph6(record.graph6), ParityParams(2, 4)).exists
 
     def test_block_witness_not_violating_raises(self, monkeypatch):
-        monkeypatch.setattr(harness, "_deficiency", lambda g, s, t, lo, hi: (0, 0, 0))
+        monkeypatch.setattr(harness, "criterion_witness", lambda g, s, t, params: CriterionWitness(s, t, 0, 0, 0))
         with pytest.raises(FactorLabError):
             survey_theorem(n=20, a=2, b=4, samples=1, seed=0)
+
+    def test_gna_past_the_cap_at_any_index(self):
+        # the block witness follows the graph, not record 0: a shuffled g_na(20, 2) at index 5
+        perm = list(range(20))
+        random.Random(5).shuffle(perm)
+        g = relabel(g_na(20, 2).graph, perm)
+        indep = recognize_gna(g, 2)["indep"]
+        assert indep != g_na(20, 2).blocks["indep"]
+        record = harness._survey_record(5, g, ParityParams(2, 4), rho_extremal=0.0)
+        assert record.is_gna and not record.has_factor
+        assert record.detail == f"S=;T={'|'.join(map(str, vertices_of(indep)))};eta=-2;q=2;deg_sum=6"
+
+    def test_factor_free_sample_past_the_cap_still_raises(self):
+        # not g_na, so no block witness: the sweep's SizeLimitError stands (K_{2,17} at (2,4))
+        g = from_edges(19, [(u, v) for u in range(2) for v in range(2, 19)])
+        with pytest.raises(SizeLimitError):
+            harness._survey_record(1, g, ParityParams(2, 4), rho_extremal=0.0)
 
     def test_hypothesis_metadata(self):
         report = survey_theorem(n=12, a=2, b=4, samples=1, seed=1)
