@@ -2,7 +2,6 @@
 """Batch verification: oracle sweeps, bound grids, and a mini survey."""
 
 from factorlab import (
-    ParityParams,
     bundled_connected_graphs,
     grid_book_spectral_bound,
     grid_gna_no_factor,
@@ -10,21 +9,21 @@ from factorlab import (
     survey_theorem,
     sweep_oracle_equivalence,
 )
+from factorlab.harness import ORACLE_PAIRS
 
 print("oracle sweep: all connected graphs on 5 vertices, six parameter pairs")
 graphs = bundled_connected_graphs(5)
-pairs = [ParityParams(*ab) for ab in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))]
-rep = sweep_oracle_equivalence(graphs, pairs)
+rep = sweep_oracle_equivalence(graphs, ORACLE_PAIRS)
 print(f"  rows {len(rep.rows)}, disagreements {len(rep.failures())}")
 
 print()
-print("family grid: eta = -2 and q = 2 for every g_na instance")
-rep = grid_gna_no_factor(a_values=(2, 3), n_max=24, decide_max=12)
+print("family grid: eta = -2 and q = 2 for every g_na instance, a = 2..5, n <= 40")
+rep = grid_gna_no_factor()
 print(f"  {len(rep.rows)} grid points, all pass: {rep.all_pass}")
 
 print()
-print("book bound grid (small slice): quotient radius < n - b - 1")
-rep = grid_book_spectral_bound(s_values=(1, 2), b_values=(4,), n_max=60)
+print("book bound grid, s = 1..5, b = 4..9, n <= 200: quotient radius < n - b - 1")
+rep = grid_book_spectral_bound()
 margins = [row[7] for row in rep.rows]
 print(f"  {len(rep.rows)} points, min margin {min(margins):.4f}, all pass: {rep.all_pass}")
 

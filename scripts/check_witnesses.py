@@ -2,8 +2,8 @@
 """Full-corpus witness check for the criterion decider.
 
 Runs ``criterion_scan`` over every bundled connected graph on n <= 8
-vertices (12,113 graphs) with the six oracle pairs and hashes one row per
-valid (graph, pair):
+vertices (12,113 graphs) with the six pairs of ``harness.ORACLE_PAIRS`` and
+hashes one row per valid (graph, pair):
 
     graph6,a,b,exists,s_set,t_set,eta,q,deg_sum
 
@@ -26,9 +26,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from factorlab import ParityParams, bundled_connected_graphs, criterion_scan, to_graph6, verify_witness  # noqa: E402
+from factorlab import bundled_connected_graphs, criterion_scan, to_graph6, verify_witness  # noqa: E402
+from factorlab.harness import ORACLE_PAIRS  # noqa: E402
 
-PAIRS = [ParityParams(a, b) for a, b in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))]
 PINNED = "ba39f9f9157a9957e6a3cc3a4cad9223a448b5efdeeea500f4b0adae89738ec1"
 
 
@@ -37,7 +37,7 @@ def corpus_digest() -> tuple[str, int]:
     h = hashlib.sha256()
     rejected = 0
     for n in range(1, 9):
-        params = [p for p in PAIRS if p.admits(n)]
+        params = [p for p in ORACLE_PAIRS if p.admits(n)]
         for g in bundled_connected_graphs(n):
             g6 = to_graph6(g)
             for p, v in zip(params, criterion_scan(g, params)):

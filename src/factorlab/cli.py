@@ -13,7 +13,7 @@ import sys
 from contextlib import nullcontext
 
 from . import harness
-from .errors import BadParamsError, FactorLabError, Graph6Error
+from .errors import BadParamsError, FactorLabError, Graph6Error, ParityPreconditionError, SizeLimitError
 from .factors import (
     ParityParams, decide_by_criterion, decide_by_matching, decide_by_search, verify_certificate, verify_witness,
 )
@@ -115,29 +115,35 @@ def _cmd_check(args) -> int:
     params = ParityParams(args.a, args.b)
     if args.no_parity and args.method != "search":
         raise BadParamsError("--no-parity needs --method search; the other methods decide parity factors only")
+    code = 0
     for g in _read_input_graphs(args):
         result: dict = {"n": g.n, "m": g.m, "a": args.a, "b": args.b}
-        if not (args.no_parity or params.admits(g.n)):  # n*a odd: no parity factor at this order
-            print(json.dumps({**result, "status": "skipped_parity"}, sort_keys=True))
-            continue
-        for name in METHODS[args.method]:
-            v = DECIDERS[name](g, params, args)
-            result[name] = "exists" if v.exists else "no_factor"
-            if v.witness is not None:
-                w = v.witness
-                if not verify_witness(g, w, params):
-                    raise FactorLabError(f"{name}: witness rejected by verify_witness on {to_graph6(g)}")
-                result["witness"] = {"S": vertices_of(w.s_set), "T": vertices_of(w.t_set),
-                                     "eta": w.eta, "q": w.q, "deg_sum": w.deg_sum}
-            if v.certificate is not None:
-                cert = v.certificate
-                if not verify_certificate(g, cert, params, parity=not args.no_parity):
-                    raise FactorLabError(f"{name}: certificate rejected by verify_certificate on {to_graph6(g)}")
-                result["certificate"] = {"edges": [list(e) for e in cert.edges], "degrees": list(cert.degrees)}
-        if args.method == "both":
-            result["agree"] = result["criterion"] == result["search"]
+        try:
+            verdicts = {name: DECIDERS[name](g, params, args) for name in METHODS[args.method]}
+        except ParityPreconditionError:  # n*a odd: no parity factor at this order
+            result["status"] = "skipped_parity"
+        except SizeLimitError as exc:  # above a decider's soft cap: this graph is refused, the run goes on
+            result["status"] = "size_limit"
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        else:
+            for name, v in verdicts.items():
+                result[name] = "exists" if v.exists else "no_factor"
+                if v.witness is not None:
+                    w = v.witness
+                    if not verify_witness(g, w, params):
+                        raise FactorLabError(f"{name}: witness rejected by verify_witness on {to_graph6(g)}")
+                    result["witness"] = {"S": vertices_of(w.s_set), "T": vertices_of(w.t_set),
+                                         "eta": w.eta, "q": w.q, "deg_sum": w.deg_sum}
+                if v.certificate is not None:
+                    cert = v.certificate
+                    if not verify_certificate(g, cert, params, parity=not args.no_parity):
+                        raise FactorLabError(f"{name}: certificate rejected by verify_certificate on {to_graph6(g)}")
+                    result["certificate"] = {"edges": [list(e) for e in cert.edges], "degrees": list(cert.degrees)}
+            if args.method == "both":
+                result["agree"] = result["criterion"] == result["search"]
         print(json.dumps(result, sort_keys=True))
-    return 0
+    return code
 
 
 def _oracle(args):
@@ -145,8 +151,7 @@ def _oracle(args):
         graphs = read_graph6_file(args.corpus)
     else:
         graphs = [g for n in range(1, 9) for g in harness.bundled_connected_graphs(n)]
-    pairs = [ParityParams(*ab) for ab in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))]
-    return harness.sweep_oracle_equivalence(graphs, pairs, jobs=args.jobs)
+    return harness.sweep_oracle_equivalence(graphs, harness.ORACLE_PAIRS, jobs=args.jobs)
 
 
 def _count(args, keyword: str) -> dict:

@@ -4,15 +4,17 @@ desk-scale spectral-threshold survey.
 Every runner returns a report with one contract: ``to_csv()`` gives the
 report text, ``summary()`` the JSON summary and ``all_pass`` the verdict.
 Failures are recorded in rows rather than raised, so a sweep always completes.
-Sampling is seeded and per-item seeds are derived from the master seed as
-``random.Random(f"{seed}:{index}")``, which makes reports byte-identical
-across runs and safe to parallelize.
+Each lemma's grid is fixed: the lemma 2.6-2.8 runners take no arguments, the
+sampled suites only a count and a seed.  Sampling is seeded and per-item seeds
+are derived from the master seed as ``random.Random(f"{seed}:{index}")``,
+which makes reports byte-identical across runs and safe to parallelize.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
+from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 from multiprocessing import Pool
@@ -47,6 +49,8 @@ EQUALITY_BAND = 1e-8
 STRICT_MARGIN = 1e-10
 P_GRID = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
 EQ1_BLOCK = 1000  # eq1 trials per report row, each row drawn from its own seeded rng
+# the (a, b) pairs of the oracle suite and of the corpus witness digest
+ORACLE_PAIRS = tuple(ParityParams(a, b) for a, b in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)))
 
 
 # ---------------------------------------------------------------------------
@@ -72,34 +76,34 @@ def _gnp(n: int, p: float, rng: random.Random) -> Graph:
     return Graph(n, rows)
 
 
-def sample_connected_min_degree(
-    n: int, min_deg: int, rng: random.Random, max_tries: int = 400
-) -> Graph:
+def _sample_gnp(n: int, min_deg: int, rng: random.Random, connected: bool) -> Graph:
+    """The rejection loop of both G(n,p) samplers: try i draws at p = P_GRID[i % 8],
+    400 tries.  Neither public sampler calls the other, so a wrapper around one
+    name sees each draw once."""
+    for attempt in range(400):
+        g = _gnp(n, P_GRID[attempt % len(P_GRID)], rng)
+        if min_degree(g) >= min_deg and (not connected or is_connected(g)):
+            return g
+    kind = "connected sample" if connected else "sample"
+    raise SamplerExhaustedError(f"no {kind} with min degree >= {min_deg} on n={n} after 400 tries")
+
+
+def sample_connected_min_degree(n: int, min_deg: int, rng: random.Random) -> Graph:
     """Rejection-sample a connected G(n,p) graph with minimum degree >= min_deg."""
-    for attempt in range(max_tries):
-        g = _gnp(n, P_GRID[attempt % len(P_GRID)], rng)
-        if min_degree(g) >= min_deg and is_connected(g):
-            return g
-    raise SamplerExhaustedError(
-        f"no connected sample with min degree >= {min_deg} on n={n} after {max_tries} tries"
-    )
+    return _sample_gnp(n, min_deg, rng, connected=True)
 
 
-def sample_min_degree(n: int, min_deg: int, rng: random.Random, max_tries: int = 400) -> Graph:
+def sample_min_degree(n: int, min_deg: int, rng: random.Random) -> Graph:
     """Rejection-sample a (possibly disconnected) G(n,p) graph with delta >= min_deg."""
-    for attempt in range(max_tries):
-        g = _gnp(n, P_GRID[attempt % len(P_GRID)], rng)
-        if min_degree(g) >= min_deg:
-            return g
-    raise SamplerExhaustedError(f"no sample with min degree >= {min_deg} on n={n}")
+    return _sample_gnp(n, min_deg, rng, connected=False)
 
 
-def sample_regular(n: int, d: int, rng: random.Random, max_tries: int = 200) -> Graph:
+def sample_regular(n: int, d: int, rng: random.Random) -> Graph:
     """Random d-regular simple graph: draw suitable stub pairs, restart when
-    the residual degrees dead-end."""
+    the residual degrees dead-end, and give up after 200 tries."""
     if d >= n or (n * d) % 2 != 0 or d < 1:
         raise SamplerExhaustedError(f"no d-regular graph for n={n}, d={d}")
-    for _ in range(max_tries):
+    for _ in range(200):
         residual = [d] * n
         rows = [0] * n
         ok = True
@@ -210,25 +214,18 @@ def _safe_msg(exc: Exception) -> str:
     return str(exc).replace(",", ";").replace("\n", " ")
 
 
-def _sweep_one(args: tuple[Graph, list[ParityParams], bool]) -> list[tuple]:
+def _sweep_one(args: tuple[Graph, Sequence[ParityParams], bool]) -> list[tuple]:
     g, params_list, matching_check = args
     g6 = to_graph6(g)
     rows = [(g6, g.n, p.a, p.b, "skipped_parity", True, "", "", "") for p in params_list if not p.admits(g.n)]
     valid = [p for p in params_list if p.admits(g.n)]
+    cells = [""] * len(valid)  # an error row keeps the criterion's verdicts when only the search fails
     try:
         criterion_verdicts = criterion_scan(g, valid)
-    except FactorLabError as exc:
-        rows.extend(
-            (g6, g.n, p.a, p.b, f"error:{_safe_msg(exc)}", False, "", "", "") for p in valid
-        )
-        return rows
-    try:
+        cells = [cv.exists for cv in criterion_verdicts]
         search_verdicts = search_scan(g, valid)
     except FactorLabError as exc:
-        rows.extend(
-            (g6, g.n, p.a, p.b, f"error:{_safe_msg(exc)}", False, cv.exists, "", "")
-            for p, cv in zip(valid, criterion_verdicts)
-        )
+        rows.extend((g6, g.n, p.a, p.b, f"error:{_safe_msg(exc)}", False, c, "", "") for p, c in zip(valid, cells))
         return rows
     for p, cv, sv in zip(valid, criterion_verdicts, search_verdicts):
         agree = cv.exists == sv.exists
@@ -243,7 +240,7 @@ def _sweep_one(args: tuple[Graph, list[ParityParams], bool]) -> list[tuple]:
 
 def sweep_oracle_equivalence(
     graphs: list[Graph],
-    params_list: list[ParityParams],
+    params_list: Sequence[ParityParams],
     jobs: int = 1,
     matching_check: bool = True,
 ) -> GridReport:
@@ -429,11 +426,9 @@ def survey_theorem(n: int, a: int, b: int, samples: int = 100, seed: int = 0) ->
 # bound and family grids
 
 
-def grid_degree_size_bound(
-    samples: int = 10_000, regular_samples: int = 200, seed: int = 0
-) -> GridReport:
-    """Sampled check of the degree/size spectral bound, with the regular-graph
-    equality band."""
+def grid_degree_size_bound(samples: int = 10_000, seed: int = 0) -> GridReport:
+    """Sampled check of the degree/size spectral bound on ``samples`` G(n,p)
+    graphs, then its equality band on 200 regular graphs."""
     report = GridReport(
         suite="lemma2.2",
         columns=("kind", "n", "m", "delta", "rho", "bound", "margin", "pass"),
@@ -446,7 +441,7 @@ def grid_degree_size_bound(
         bound = hong_nikiforov_bound(g.n, g.m, min_degree(g))
         margin = bound - rho
         report.add("general", g.n, g.m, min_degree(g), rho, bound, margin, rho <= bound + 1e-9)
-    for index in range(regular_samples):
+    for index in range(200):
         rng = random.Random(f"{seed}:regular:{index}")
         n = rng.randrange(6, 25)
         d_max = min(7, n - 1)
@@ -499,15 +494,16 @@ def _partitions_exact(total: int, parts: int, cap: int | None = None):
             yield (first,) + rest
 
 
-def grid_clique_merge_dominance(n_max: int = 14, s_max: int = 3, q_max: int = 4) -> GridReport:
-    """The one-big-clique composition dominates every other clique composition."""
+def grid_clique_merge_dominance() -> GridReport:
+    """The one-big-clique composition dominates every other clique composition:
+    s = 1..3 joined vertices, q = 1..4 cliques, n <= 14."""
     report = GridReport(
         suite="lemma2.6",
         columns=("n", "s", "q", "composition", "rho", "rho_extreme", "margin", "pass"),
     )
-    for s in range(1, s_max + 1):
-        for q in range(1, q_max + 1):
-            for n in range(s + q, n_max + 1):
+    for s in range(1, 4):
+        for q in range(1, 5):
+            for n in range(s + q, 15):
                 compositions = _partitions_exact(n - s, q)
                 extreme = next(compositions)  # descending order yields one big clique first
                 rho_extreme = spectral_radius(Graph(n, clique_join(s, extreme))).rho
@@ -520,18 +516,17 @@ def grid_clique_merge_dominance(n_max: int = 14, s_max: int = 3, q_max: int = 4)
     return report
 
 
-def grid_book_spectral_bound(
-    s_values=range(1, 6), b_values=range(4, 10), n_max: int = 200
-) -> GridReport:
-    """Exact cubic identities plus the strict quotient bound rho < n-b-1."""
+def grid_book_spectral_bound() -> GridReport:
+    """Exact cubic identities plus the strict quotient bound rho < n-b-1:
+    s = 1..5, b = 4..9, n <= 200."""
     report = GridReport(
         suite="lemma2.7",
         columns=("s", "b", "n", "value_at_nb2", "identity_ok", "rho_quotient", "bound", "margin", "pass"),
     )
-    for s in s_values:
-        for b in b_values:
+    for s in range(1, 6):
+        for b in range(4, 10):
             n_start = max(2 * b, (b + 1) * s + 1)
-            for n in range(n_start, n_max + 1):
+            for n in range(n_start, 201):
                 poly, at_nb1, at_nb2 = book_charpoly(n, s, b)
                 identity_ok = at_nb2 == -(b + 1) * s * s
                 if s == 1:
@@ -548,26 +543,25 @@ def grid_book_spectral_bound(
     return report
 
 
-def grid_gna_no_factor(
-    a_values=(2, 3, 4, 5), n_max: int = 40, decide_max: int = 14
-) -> GridReport:
-    """The extremal family always produces the eta = -2, q = 2 witness, and
-    both deciders agree it has no parity factor at decidable sizes."""
+def grid_gna_no_factor() -> GridReport:
+    """The extremal family always produces the eta = -2, q = 2 witness
+    (a = 2..5, b = a + 2, n <= 40), and both deciders agree it has no parity
+    factor up to n = 14."""
     report = GridReport(
         suite="lemma2.8",
         columns=("a", "b", "n", "eta", "q", "criterion_no_factor", "search_no_factor", "pass"),
     )
-    for a in a_values:
+    for a in range(2, 6):
         b = a + 2
         params = ParityParams(a, b)
-        for n in range(2 * a + 4, n_max + 1):
+        for n in range(2 * a + 4, 41):
             if not params.admits(n):
                 continue
             cons = g_na(n, a)
             w = criterion_witness(cons.graph, 0, cons.blocks["indep"], params)
             ok = w.eta == -2 and w.q == 2
             c_no = s_no = ""
-            if n <= decide_max:
+            if n <= 14:
                 cv = criterion_scan(cons.graph, [params])[0]
                 with warnings.catch_warnings():
                     # the soft edge cap is lifted deliberately on this grid

@@ -58,7 +58,7 @@ def test_criterion_01_oracle_equivalence():
 def test_criterion_02_gna_deficiency_grid():
     """eta(empty, indep) = -2 and q = 2 exactly on the full family grid;
     both deciders return no-factor at decidable orders."""
-    rep = grid_gna_no_factor(a_values=(2, 3, 4, 5), n_max=40, decide_max=14)
+    rep = grid_gna_no_factor()
     assert rep.all_pass, rep.failures()[:5]
     assert all(row[3] == -2 and row[4] == 2 for row in rep.rows)
     decided = [row for row in rep.rows if row[5] != ""]
@@ -134,7 +134,7 @@ def test_criterion_06_book_cubic_and_bound():
 
 def test_criterion_07_degree_size_bound():
     """10^4 sampled graphs respect the bound; regular samples attain it."""
-    rep = grid_degree_size_bound(samples=10_000, regular_samples=200, seed=0)
+    rep = grid_degree_size_bound(samples=10_000, seed=0)
     assert rep.all_pass, rep.failures()[:5]
     general = [r for r in rep.rows if r[0] == "general"]
     regular = [r for r in rep.rows if r[0] == "regular"]
@@ -144,7 +144,7 @@ def test_criterion_07_degree_size_bound():
 
 def test_criterion_08_clique_merge_dominance():
     """The one-big-clique composition strictly dominates all others."""
-    rep = grid_clique_merge_dominance(n_max=14, s_max=3, q_max=4)
+    rep = grid_clique_merge_dominance()
     assert rep.all_pass, rep.failures()[:5]
     nontrivial = [r for r in rep.rows if r[3].count("+") > 0]
     report(f"8: PASS dominance on {len(rep.rows)} compositions ({len(nontrivial)} non-extreme)")

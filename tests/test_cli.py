@@ -262,6 +262,26 @@ class TestCheckParityFactor:
         assert code == 2
         assert "--force" in err
 
+    @pytest.mark.parametrize("method,graphs,verdicts", [
+        # g_na(19, 2) is above the criterion cap of 18 vertices
+        ("criterion", [g_na(19, 2).graph], []),
+        # K_10's 45 edges are above the search cap of 40, after the criterion has decided it
+        ("both", [g_na(12, 2).graph, from_graph6("I~~~~~~~w")], [{"criterion": "no_factor", "search": "no_factor"}]),
+    ], ids=["criterion", "both"])
+    def test_size_limit_is_one_line_and_the_run_goes_on(self, capsys, monkeypatch, method, graphs, verdicts):
+        stdin = "".join(to_graph6(g) + "\n" for g in graphs) + "C~\n"
+        code, out, err = run_cli(capsys, ["check-parity-factor", "--a", "2", "--b", "4", "--method", method],
+                                 stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 2
+        lines = [json.loads(line) for line in out.strip().split("\n")]
+        assert len(lines) == len(graphs) + 1
+        for line, expected in zip(lines, verdicts):
+            assert {name: line[name] for name in expected} == expected
+        refused = graphs[-1]
+        assert lines[len(graphs) - 1] == {"a": 2, "b": 4, "m": refused.m, "n": refused.n, "status": "size_limit"}
+        assert lines[-1]["n"] == 4 and all(lines[-1][name] == "exists" for name in cli.METHODS[method])
+        assert len(err.strip().splitlines()) == 1 and "--force" in err
+
     def test_identical_outputs_for_identical_inputs(self, capsys, monkeypatch):
         g6 = to_graph6(g_na(11, 2).graph)
         argv = ["check-parity-factor", "--a", "2", "--b", "4", "--method", "both"]
