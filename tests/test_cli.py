@@ -262,24 +262,23 @@ class TestCheckParityFactor:
         assert code == 2
         assert "--force" in err
 
-    @pytest.mark.parametrize("method,graphs,verdicts", [
+    @pytest.mark.parametrize("method,graphs", [
         # g_na(19, 2) is above the criterion cap of 18 vertices
-        ("criterion", [g_na(19, 2).graph], []),
-        # K_10's 45 edges are above the search cap of 40, after the criterion has decided it
-        ("both", [g_na(12, 2).graph, from_graph6("I~~~~~~~w")], [{"criterion": "no_factor", "search": "no_factor"}]),
+        ("criterion", [g_na(19, 2).graph]),
+        # K_10's 45 edges are above the search cap of 40; g_na(12, 2) before it is decided
+        ("both", [g_na(12, 2).graph, from_graph6("I~~~~~~~w")]),
     ], ids=["criterion", "both"])
-    def test_size_limit_is_one_line_and_the_run_goes_on(self, capsys, monkeypatch, method, graphs, verdicts):
-        stdin = "".join(to_graph6(g) + "\n" for g in graphs) + "C~\n"
+    def test_size_limit_is_one_line_and_the_run_goes_on(self, capsys, monkeypatch, method, graphs):
+        stdin = "".join(to_graph6(g) + "\n" for g in graphs) + "C~\n"  # K_4 last
         code, out, err = run_cli(capsys, ["check-parity-factor", "--a", "2", "--b", "4", "--method", method],
                                  stdin=stdin, monkeypatch=monkeypatch)
         assert code == 2
-        lines = [json.loads(line) for line in out.strip().split("\n")]
-        assert len(lines) == len(graphs) + 1
-        for line, expected in zip(lines, verdicts):
-            assert {name: line[name] for name in expected} == expected
-        refused = graphs[-1]
-        assert lines[len(graphs) - 1] == {"a": 2, "b": 4, "m": refused.m, "n": refused.n, "status": "size_limit"}
-        assert lines[-1]["n"] == 4 and all(lines[-1][name] == "exists" for name in cli.METHODS[method])
+        *decided, refused, k4 = map(json.loads, out.strip().split("\n"))
+        assert len(decided) == len(graphs) - 1
+        assert all(line[name] == "no_factor" for line in decided for name in cli.METHODS[method])
+        g = graphs[-1]
+        assert refused == {"a": 2, "b": 4, "m": g.m, "n": g.n, "status": "size_limit"}
+        assert k4["n"] == 4 and all(k4[name] == "exists" for name in cli.METHODS[method])
         assert len(err.strip().splitlines()) == 1 and "--force" in err
 
     def test_identical_outputs_for_identical_inputs(self, capsys, monkeypatch):
