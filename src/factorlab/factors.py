@@ -28,8 +28,10 @@ share nothing beyond the graph type, so they cross-validate each other.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import accumulate
 from operator import or_
 
@@ -49,7 +51,11 @@ CRITERION_VERTEX_LIMIT = 18
 CRITERION_TABLE_LIMIT = 24  # force=True stops here: 2^n-entry tables, ~12 bytes each
 CRITERION_EXACT_LIMIT = 10  # exact R filter from all 3^n (R, T) pairs up to here, the bound above
 FOREST_BLOCK = 1 << 16  # masks per pass of _component_forest and _prefilter, a power of two: bounds the temporaries
+STACK_CELLS = 1 << 17  # (R, T) cells per stack of prefetch_criterion, graphs times 3^n: bounds the temporaries
 SEARCH_EDGE_LIMIT = 40
+
+# (graph, pairs) -> (first, keep) rows, filled by prefetch_criterion and popped by criterion_scan
+_PREFETCHED: dict[tuple[Graph, tuple[ParityParams, ...]], tuple[np.ndarray, np.ndarray]] = {}
 
 
 @dataclass(frozen=True)
@@ -195,13 +201,15 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
 
     With R the "neither" vertices and W = V - R, eta(S,T) = b|W| +
     sum_{x in T} (d_R(x) - a - b) + 2e(T) - q, q <= c(R) counting components
-    of G[R].  Per graph, ``_component_forest`` tabulates in numpy the
-    components of every R.  Up to ``CRITERION_EXACT_LIMIT`` vertices
-    ``_exact_keep`` keeps, per pair, exactly the R with a violating T inside
-    W; above it ``_prefilter`` keeps the R where a lower bound on eta over
-    those T is <= -2: b|W| + sum_K sum_j min(0, v_j + 2j) - c(R) over the
-    cliques K of a clique cover, v_0 <= v_1 <= ... the values d_R(x) - a - b
-    on K & W, as the t vertices of T in K span t(t - 1)/2 edges.  A pair
+    of G[R].  ``_component_forest`` tabulates in numpy the components of
+    every R.  Up to ``CRITERION_EXACT_LIMIT`` vertices ``_exact_keep`` keeps,
+    per pair, exactly the R with a violating T inside W.  Both take a stack
+    of graphs of one order: ``prefetch_criterion`` builds many graphs'
+    tables at once, and a graph it did not prefetch gets a one-graph stack.
+    Above the limit ``_prefilter`` keeps the R where a lower bound on eta
+    over those T is <= -2: b|W| + sum_K sum_j min(0, v_j + 2j) - c(R) over
+    the cliques K of a clique cover, v_0 <= v_1 <= ... the values d_R(x) - a
+    - b on K & W, as the t vertices of T in K span t(t - 1)/2 edges.  A pair
     that keeps no R has a factor and is done.  The others walk their kept R
     in ascending order until each has a witness, which on the exact table
     is at its first kept R: one DFS per factor-free pair.  W is sorted by
@@ -224,11 +232,16 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
         warnings.warn(f"criterion sweep over 3^{n} assignments; this may take very long")
     adj = g.adj
     full = g.full_mask
-    first, ncomp = _component_forest(adj, n)
-    if n <= CRITERION_EXACT_LIMIT:
-        keep = _exact_keep(adj, n, first, ncomp, params_list)
+    tables = _PREFETCHED.pop((g, tuple(params_list)), None)
+    if tables is None:
+        first, ncomp = _component_forest([adj], n)
+        if n <= CRITERION_EXACT_LIMIT:
+            keep = _exact_keep([adj], n, first, ncomp, params_list)[0]
+        else:
+            keep = _prefilter(adj, n, ncomp[0], params_list)
+        first = first[0]
     else:
-        keep = _prefilter(adj, n, ncomp, params_list)
+        first, keep = tables
     verdicts = [Verdict(exists=True)] * len(params_list)
     # a pair that keeps no R has a factor; the R walk serves the others
     live = [i for i, row in enumerate(keep) if row.any()]
@@ -265,28 +278,66 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
     return verdicts
 
 
-def _component_forest(adj, n: int) -> tuple[np.ndarray, np.ndarray]:
-    """first[R]: the component of R's lowest vertex v in G[R]; ncomp[R]: c(R).
+@contextmanager
+def prefetch_criterion(graphs: Sequence[Graph], params_list: Sequence[ParityParams]) -> Iterator[None]:
+    """Within the ``with`` block, ``criterion_scan`` takes the tables of these graphs ready-made.
 
-    first[R] grows from v by first |= nbr[first] & R (nbr[X]: the OR of adj
-    over X) to its fixed point.  R's components are first[R], first[R ^
-    first[R]], ..., so c(R) passes of rest ^= first[rest] empty R.
+    For each order n up to ``CRITERION_EXACT_LIMIT``, the graphs' ``first``
+    and ``keep`` tables for the pairs of params_list that admit n are built
+    in stacks of at most ``STACK_CELLS`` (R, T) cells, one set of numpy
+    operations per stack.  ``criterion_scan(g, pairs)`` with exactly those
+    pairs, in that order, pops g's entry; any other call builds its own.
+    Entering replaces the whole store and leaving empties it, so no table
+    outlives the block.  The store is one per process: a nested or
+    concurrent block costs rebuilds, never a wrong table, as an entry is
+    keyed by the graph's value and its pairs.
+    """
+    by_order: dict[int, list[Graph]] = {}
+    for g in graphs:
+        if g.n <= CRITERION_EXACT_LIMIT:
+            by_order.setdefault(g.n, []).append(g)
+    _PREFETCHED.clear()
+    try:
+        for n, order in by_order.items():
+            pairs = tuple(p for p in params_list if p.admits(n))
+            stack_size = max(1, STACK_CELLS // 3**n)
+            for lo in range(0, len(order), stack_size):
+                stack = order[lo : lo + stack_size]
+                adjs = [g.adj for g in stack]
+                first, ncomp = _component_forest(adjs, n)
+                keep = _exact_keep(adjs, n, first, ncomp, pairs)
+                _PREFETCHED.update(((g, pairs), (f, k)) for g, f, k in zip(stack, first, keep))
+        yield
+    finally:
+        _PREFETCHED.clear()
+
+
+def _component_forest(adjs, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """first[k, R]: the component of R's lowest vertex v in G_k[R]; ncomp[k, R]: c(R).
+
+    One row per adjacency list in adjs, every graph of order n.  first[k, R]
+    grows from v by first |= nbr[first] & R (nbr[X]: the OR of adj over X)
+    to its fixed point.  R's components are first[R], first[R ^ first[R]],
+    ..., so c(R) passes of rest ^= first[rest] empty R.
     """
     size = 1 << n
-    nbr = np.zeros(size, dtype=np.uint32)
+    rows = np.array(adjs, dtype=np.uint32).reshape(len(adjs), n)
+    nbr = np.zeros((len(adjs), size), dtype=np.uint32)
     for v in range(n):
-        nbr[1 << v : 2 << v] = nbr[: 1 << v] | adj[v]
-    first, ncomp = np.empty_like(nbr), np.zeros(size, dtype=np.uint8)
+        nbr[:, 1 << v : 2 << v] = nbr[:, : 1 << v] | rows[:, v : v + 1]
+    first, ncomp = np.empty_like(nbr), np.zeros(nbr.shape, dtype=np.uint8)
+    at = np.arange(0, nbr.size, size)[:, None]  # row k starts at k * 2^n in the flat tables
+    flat_nbr, flat_first = nbr.ravel(), first.ravel()
     for lo in range(0, size, FOREST_BLOCK):
         r = np.arange(lo, min(size, lo + FOREST_BLOCK), dtype=np.uint32)
         comp = r & -r
-        while ((grown := comp | nbr[comp] & r) != comp).any():
+        while ((grown := comp | flat_nbr[at + comp] & r) != comp).any():
             comp = grown
-        first[lo : lo + len(r)] = comp
+        first[:, lo : lo + len(r)] = comp
         rest = r
         while rest.any():  # rest <= R, so first[rest] is already filled in
-            ncomp[lo : lo + len(r)] += rest != 0
-            rest = rest ^ first[rest]
+            ncomp[:, lo : lo + len(r)] += rest != 0
+            rest = rest ^ flat_first[at + rest]
     return first, ncomp
 
 
@@ -310,17 +361,40 @@ def _pair_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
     return r, t
 
 
-def _exact_keep(adj, n: int, first: np.ndarray, ncomp: np.ndarray, params_list: list[ParityParams]) -> np.ndarray:
-    """keep[i, R]: whether some T inside W = V - R has eta_i(W - T, T) <= -2.
+@lru_cache(maxsize=32)
+def _window_terms(n: int, windows: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
+    """b|S| - a|T| for each window (a, b) on the 3^n pairs of ``_pair_masks``, and its minimum over the windows.
 
-    Over the 2^n masks, e[X] counts the edges inside X and odd[T] is the XOR
-    of adj[x] over x in T: bit v of it is the parity of e(v, T).  For all 3^n
-    disjoint (R, T) at once, eta without its -q term is noq = b|S| - a|T| +
-    e[R | T] - e[R] + e[T].  As 0 <= q <= c(R), only the (R, T) with min_i
-    noq_i - c(R) <= -2 can violate; on those candidates q counts the
-    components C of G[R] (walked through ``first``) with |C & odd[T]| odd for
-    even a, |C - odd[T]| odd for odd a.  Lowering a to n + 1 and b to
-    (n + 1)^2 moves no comparison with -2, as q takes the parity of the
+    The minimum starts from n, which gives an empty tuple of windows one
+    and drops no candidate of ``_exact_keep``: that adds e[R | T] + e[T] -
+    e[R] - c(R) >= -n to it, so a minimum of n - 1 or more leaves no (R, T)
+    at -2 or below.
+    """
+    pc = _popcounts(n)
+    r, t = _pair_masks(n)
+    lo = np.array([a for a, _ in windows], dtype=np.int16)[:, None]
+    hi = np.array([b for _, b in windows], dtype=np.int16)[:, None]
+    terms = hi * (n - pc[r | t]) - lo * pc[t]
+    low = terms.min(axis=0, initial=n)
+    terms.flags.writeable = low.flags.writeable = False  # cached: shared by every later call
+    return terms, low
+
+
+def _exact_keep(adjs, n: int, first: np.ndarray, ncomp: np.ndarray, params_list: list[ParityParams]) -> np.ndarray:
+    """keep[k, i, R]: whether some T inside W = V - R has eta_i(W - T, T) <= -2 in G_k.
+
+    One graph per adjacency list in adjs, with first and ncomp their
+    ``_component_forest`` rows.  Over the 2^n masks, e[X] counts the edges
+    inside X and odd[T] is the XOR of adj[x] over x in T: bit v of it is the
+    parity of e(v, T).  These tables hold one column per graph, so a gather
+    by mask moves whole rows.  For all 3^n disjoint (R, T) at once, eta
+    without its -q term is noq = b|S| - a|T| + e[R | T] - e[R] + e[T]; its
+    first two terms and their minimum over the pairs depend on n and the
+    pairs alone (``_window_terms``).  As 0 <= q <= c(R), only the (R, T)
+    with min_i noq_i - c(R) <= -2 can violate; on those candidates q counts
+    the components C of G[R] (walked through ``first``) with |C & odd[T]|
+    odd for even a, |C - odd[T]| odd for odd a.  Lowering a to n + 1 and b
+    to (n + 1)^2 moves no comparison with -2, as q takes the parity of the
     pair's own a: an a >= n + 1 makes T = W violate for every R != V,
     whatever b; with |S| >= 1 and b >= (n + 1)^2 eta stays positive; the
     other pairs do not depend on b.
@@ -328,31 +402,35 @@ def _exact_keep(adj, n: int, first: np.ndarray, ncomp: np.ndarray, params_list: 
     size = 1 << n
     pc = _popcounts(n)
     r, t = _pair_masks(n)
-    e = np.zeros(size, dtype=np.int16)
-    odd = np.zeros(size, dtype=np.intp)
+    terms, low = _window_terms(n, tuple((min(p.a, n + 1), min(p.b, (n + 1) ** 2)) for p in params_list))
+    rows = np.array(adjs, dtype=np.intp).reshape(len(adjs), n)
+    e = np.zeros((size, len(adjs)), dtype=np.int16)
+    odd = np.zeros((size, len(adjs)), dtype=np.intp)
     half = 1
     for v in range(n):
-        e[half : 2 * half] = e[:half] + pc[adj[v] & np.arange(half)]
-        odd[half : 2 * half] = odd[:half] ^ adj[v]
+        e[half : 2 * half] = e[:half] + pc[np.arange(half)[:, None] & rows[:, v]]
+        odd[half : 2 * half] = odd[:half] ^ rows[:, v]
         half *= 2
-    lo = np.array([[min(p.a, n + 1)] for p in params_list], dtype=np.int16)
-    hi = np.array([[min(p.b, (n + 1) ** 2)] for p in params_list], dtype=np.int16)
-    rt = r | t
-    noq = hi * (n - pc[rt]) - lo * pc[t] + (e[rt] - e[r] + e[t])
-    cand = np.flatnonzero(noq.min(axis=0) - ncomp[r] <= -2)
-    r, noq, odd_t = r[cand], noq[:, cand], odd[t[cand]]
-    # Z, keyed by the parity of a: odd[T] & R, or ~odd[T] & R (x ^ -1 == ~x)
-    zs = {par: (odd_t ^ -par) & r for par in {p.a & 1 for p in params_list}}
-    q = {par: np.zeros(len(r), dtype=np.int16) for par in zs}
-    rest = r
-    while rest.any():
-        comp = first[rest]
-        for par, z in zs.items():
-            q[par] += pc[comp & z] & 1
-        rest = rest ^ comp
-    keep = np.zeros((len(params_list), size), dtype=bool)
+    # slack = noq - c(R) less its window terms: e[R | T] + e[T] - (e[R] + c(R))
+    slack = e[r | t]
+    slack += e[t]
+    slack -= (e + ncomp.T)[r]
+    cand, k = np.divmod(np.flatnonzero(slack <= (-2 - low)[:, None]), len(adjs))
+    r, odd_t = r[cand], odd[t[cand], k]
+    edges = slack[cand, k] + ncomp[k, r]  # e[R | T] - e[R] + e[T]
+    # q[a & 1]: the C with |C & odd[T]| odd, or with |C - odd[T]| = |C| - |C & odd[T]| odd
+    q = np.zeros((2, len(r)), dtype=np.int16)
+    flat_first = first.ravel()
+    rest = k * size + r  # (k, R) in the flat first: R is the low n bits, and first[k, 0] = 0
+    while (comp := flat_first[rest]).any():
+        inside = pc[comp & odd_t]
+        q[0] += inside & 1
+        q[1] += (inside ^ pc[comp]) & 1
+        rest ^= comp
+    keep = np.zeros((len(adjs), len(params_list), size), dtype=bool)
     for i, p in enumerate(params_list):
-        keep[i, r[noq[i] - q[p.a & 1] <= -2]] = True
+        hit = terms[i, cand] + edges - q[p.a & 1] <= -2
+        keep[k[hit], i, r[hit]] = True
     return keep
 
 

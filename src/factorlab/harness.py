@@ -28,6 +28,7 @@ from .factors import (
     decide_by_matching,
     decide_by_search,
     eta,
+    prefetch_criterion,
     search_scan,
 )
 from .families import book_family, clique_join, g_na
@@ -48,6 +49,7 @@ from .spectral import (
 EQUALITY_BAND = 1e-8
 STRICT_MARGIN = 1e-10
 P_GRID = [0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+SWEEP_CHUNK = 64  # oracle graphs per prefetch_criterion call, and per task of a jobs > 1 pool
 EQ1_BLOCK = 1000  # eq1 trials per report row, each row drawn from its own seeded rng
 # the (a, b) pairs of the oracle suite and of the corpus witness digest
 ORACLE_PAIRS = tuple(ParityParams(a, b) for a, b in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5)))
@@ -214,8 +216,13 @@ def _safe_msg(exc: Exception) -> str:
     return str(exc).replace(",", ";").replace("\n", " ")
 
 
-def _sweep_one(args: tuple[Graph, Sequence[ParityParams], bool]) -> list[tuple]:
-    g, params_list, matching_check = args
+def _sweep_chunk(args: tuple[list[Graph], Sequence[ParityParams], bool]) -> list[tuple]:
+    graphs, params_list, matching_check = args
+    with prefetch_criterion(graphs, params_list):
+        return [row for g in graphs for row in _sweep_one(g, params_list, matching_check)]
+
+
+def _sweep_one(g: Graph, params_list: Sequence[ParityParams], matching_check: bool) -> list[tuple]:
     g6 = to_graph6(g)
     rows = [(g6, g.n, p.a, p.b, "skipped_parity", True, "", "", "") for p in params_list if not p.admits(g.n)]
     valid = [p for p in params_list if p.admits(g.n)]
@@ -248,17 +255,19 @@ def sweep_oracle_equivalence(
 
     The ``pass`` column records per-row agreement; parameter pairs invalid
     for a graph's order are recorded as skipped rows that pass vacuously.
+    Graphs go in chunks of ``SWEEP_CHUNK``, the unit of a ``jobs > 1`` pool,
+    and ``prefetch_criterion`` builds each chunk's criterion tables at once.
     """
     report = GridReport(
         suite="oracle",
         columns=("graph6", "n", "a", "b", "status", "pass", "criterion", "search", "matching"),
     )
-    items = [(g, params_list, matching_check) for g in graphs]
+    items = [(graphs[i : i + SWEEP_CHUNK], params_list, matching_check) for i in range(0, len(graphs), SWEEP_CHUNK)]
     if jobs > 1:
         with Pool(jobs) as pool:
-            chunks = pool.map(_sweep_one, items, chunksize=64)
+            chunks = pool.map(_sweep_chunk, items)
     else:
-        chunks = [_sweep_one(item) for item in items]
+        chunks = [_sweep_chunk(item) for item in items]
     report.rows.extend(row for chunk in chunks for row in chunk)
     return report
 

@@ -417,8 +417,8 @@ class TestDecideByCriterion:
         for g in graphs:
             n = g.n
             valid = [p for p in CLAMP_PAIRS if (n * p.a) % 2 == 0]
-            first, ncomp = factors._component_forest(g.adj, n)
-            keep = factors._exact_keep(g.adj, n, first, ncomp, valid)
+            first, ncomp = factors._component_forest([g.adj], n)
+            keep = factors._exact_keep([g.adj], n, first, ncomp, valid)[0]
             full = (1 << n) - 1
             for i, p in enumerate(valid):
                 for r_mask in range(1 << n):
@@ -436,7 +436,7 @@ class TestDecideByCriterion:
         graphs += [path(12), edgeless(10), disjoint_union(cycle(5), path(6))]
         graphs += [random_graph(14, p, rng) for p in (0.15, 0.3)]
         for g in graphs:
-            first, ncomp = factors._component_forest(g.adj, g.n)
+            (first,), (ncomp,) = factors._component_forest([g.adj], g.n)
             assert first.dtype == np.uint32 and ncomp.dtype == np.uint8
             assert len(first) == len(ncomp) == 1 << g.n
             for r_mask in range(1 << g.n):
@@ -445,9 +445,9 @@ class TestDecideByCriterion:
                 assert first[r_mask] == (comps[0] if comps else 0), (to_graph6(g), r_mask)
             if g.n >= 10:
                 monkeypatch.setattr(factors, "FOREST_BLOCK", 1 << 5)
-                blocked = factors._component_forest(g.adj, g.n)
+                (blocked_first,), (blocked_ncomp,) = factors._component_forest([g.adj], g.n)
                 monkeypatch.undo()
-                assert np.array_equal(blocked[0], first) and np.array_equal(blocked[1], ncomp)
+                assert np.array_equal(blocked_first, first) and np.array_equal(blocked_ncomp, ncomp)
 
     def test_factor_bearing_pairs_walk_no_r(self, monkeypatch):
         # K_8 has a factor for all six pairs: the exact table keeps no R for
@@ -500,6 +500,59 @@ class TestDecideByCriterion:
             assert verdict.exists == (not violated)
 
 
+class TestStackedTables:
+    def test_stacks_equal_one_graph_builds(self):
+        # the n <= 8 corpus and seeded n = 9, 10 graphs, shuffled into
+        # 64-graph chunks of mixed order: each order's stack in a chunk
+        # against one-graph stacks, array for array; a chunk rarely holds two
+        # of the seeded graphs, so each order of them is also one stack
+        rng = random.Random(1818)
+        seeded = {n: [random_graph(n, p, rng) for p in (0.2, 0.35, 0.5, 0.65, 0.8)] for n in (9, 10)}
+        graphs = [g for n in range(1, 9) for g in bundled_connected_graphs(n)] + seeded[9] + seeded[10]
+        rng.shuffle(graphs)
+        chunks = [graphs[i : i + 64] for i in range(0, len(graphs), 64)] + list(seeded.values())
+        for chunk in chunks:
+            for n in {g.n for g in chunk}:
+                stack = [g.adj for g in chunk if g.n == n]
+                valid = [p for p in PAIRS if p.admits(n)]
+                first, ncomp = factors._component_forest(stack, n)
+                keep = factors._exact_keep(stack, n, first, ncomp, valid)
+                assert first.shape == ncomp.shape == (len(stack), 1 << n)
+                assert keep.shape == (len(stack), len(valid), 1 << n)
+                for k, adj in enumerate(stack):
+                    (first1,), (ncomp1,) = tables = factors._component_forest([adj], n)
+                    (keep1,) = factors._exact_keep([adj], n, *tables, valid)
+                    assert np.array_equal(first[k], first1), adj
+                    assert np.array_equal(ncomp[k], ncomp1), adj
+                    assert np.array_equal(keep[k], keep1), adj
+
+    def test_misses_get_one_graph_builds(self, monkeypatch):
+        # a graph that was not prefetched, and a prefetched graph asked for
+        # other pairs, each build a one-graph stack; the prefetched entry is
+        # popped only by its own pairs, and leaving the block empties the store
+        gna, k8 = g_na(8, 2).graph, complete(8)
+        expected = {g: [decide_by_criterion(g, p) for p in PAIRS] for g in (gna, k8)}
+        built = []
+        real = factors._exact_keep
+
+        def spy(adjs, *args):
+            built.append(list(adjs))
+            return real(adjs, *args)
+
+        monkeypatch.setattr(factors, "_exact_keep", spy)
+        with factors.prefetch_criterion([gna], PAIRS):
+            assert built == [[gna.adj]] and len(factors._PREFETCHED) == 1
+            assert criterion_scan(k8, PAIRS) == expected[k8]
+            assert built[-1] == [k8.adj]
+            assert criterion_scan(gna, PAIRS[:3]) == expected[gna][:3]
+            assert built[-1] == [gna.adj] and len(factors._PREFETCHED) == 1
+            assert criterion_scan(gna, PAIRS) == expected[gna]
+            assert len(built) == 3 and not factors._PREFETCHED
+            with factors.prefetch_criterion([k8], PAIRS[:1]):
+                pass
+        assert len(built) == 4 and not factors._PREFETCHED
+
+
 class TestPrefilter:
     def test_clique_cover_partitions_into_cliques(self):
         rng = random.Random(2024)
@@ -521,8 +574,9 @@ class TestPrefilter:
         for g in graphs:
             n = g.n
             valid = [p for p in CLAMP_PAIRS if (n * p.a) % 2 == 0]
-            first, ncomp = factors._component_forest(g.adj, n)
-            exact = factors._exact_keep(g.adj, n, first, ncomp, valid)
+            first, ncomp = factors._component_forest([g.adj], n)
+            exact = factors._exact_keep([g.adj], n, first, ncomp, valid)[0]
+            ncomp = ncomp[0]
             kept = factors._prefilter(g.adj, n, ncomp, valid)
             assert not (exact & ~kept).any(), to_graph6(g)
             if n >= 7:
@@ -536,7 +590,7 @@ class TestPrefilter:
         # keeps 9: a loss of pruning shows here
         for n in range(12, 17):
             g = g_na(n, 2).graph
-            _, ncomp = factors._component_forest(g.adj, n)
+            _, (ncomp,) = factors._component_forest([g.adj], n)
             assert factors._prefilter(g.adj, n, ncomp, [ParityParams(2, 4)]).sum() <= 16, n
 
 

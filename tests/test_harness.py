@@ -19,7 +19,6 @@ from factorlab import (
     from_graph6,
     g_na,
     grid_bound_monotonicity,
-    grid_book_spectral_bound,
     grid_degree_size_bound,
     grid_gna_no_factor,
     grid_parity_evenness,
@@ -33,7 +32,7 @@ from factorlab import (
     to_graph6,
     vertices_of,
 )
-from factorlab import harness
+from factorlab import factors, harness
 from factorlab.factors import Verdict
 from factorlab.harness import GridReport, sample_regular
 
@@ -164,6 +163,39 @@ class TestOracleSweep:
         assert row[4].startswith("error:criterion") and row[5:] == (False, "", "", "")
         assert not report.all_pass
 
+    def test_order_with_no_admitted_pair(self):
+        # K_3 admits no (1, 1)-factor: a skipped row, and no error from the
+        # criterion sweep of an empty list of pairs
+        report = sweep_oracle_equivalence([complete(3), complete(4)], [ParityParams(1, 1)])
+        assert [r[4] for r in report.rows] == ["skipped_parity", "ok"] and report.all_pass
+
+    def test_tables_are_built_per_sweep_and_not_kept(self, monkeypatch):
+        # 100 graphs make two chunks; every graph goes through harness.criterion_scan
+        # once, its tables come from one stacked build, and a second sweep over
+        # the same graphs builds them again: no table outlives its chunk
+        graphs = random.Random(77).sample(bundled_connected_graphs(7), 100)
+        pairs = [ParityParams(*ab) for ab in ((1, 1), (2, 2), (2, 4))]
+        built, stacks, scanned = [], [], []
+        real_keep, real_scan = factors._exact_keep, harness.criterion_scan
+
+        def spy_keep(adjs, *args):
+            built.extend(adjs)
+            stacks.append(len(adjs))
+            return real_keep(adjs, *args)
+
+        def spy_scan(g, params_list, force=False):
+            scanned.append(g)
+            return real_scan(g, params_list, force=force)
+
+        monkeypatch.setattr(factors, "_exact_keep", spy_keep)
+        monkeypatch.setattr(harness, "criterion_scan", spy_scan)
+        for sweep in (1, 2):
+            assert sweep_oracle_equivalence(graphs, pairs).all_pass
+            assert not factors._PREFETCHED
+            assert scanned == sweep * graphs
+            assert sorted(built) == sorted(sweep * [g.adj for g in graphs])
+            assert max(stacks) > 1
+
     def test_parallel_matches_serial(self):
         graphs = bundled_connected_graphs(6)[:40]
         pairs = [ParityParams(2, 2), ParityParams(1, 3)]
@@ -274,10 +306,6 @@ class TestSurvey:
 
 
 class TestGrids:
-    def test_book_bound_small(self):
-        report = grid_book_spectral_bound()
-        assert report.all_pass
-
     def test_degree_size_bound_small(self):
         report = grid_degree_size_bound(samples=150, seed=3)
         assert report.all_pass
