@@ -31,13 +31,14 @@ import warnings
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, lru_cache
+from functools import cache
 from itertools import accumulate
 from operator import or_
 
 import numpy as np
 
 from .errors import (
+    BadParamsError,
     FactorLabError,
     InvalidGFError,
     NonDisjointError,
@@ -128,7 +129,10 @@ class Verdict:
 
 
 def _disjoint_masks(g: Graph, s: VertexSet, t: VertexSet) -> tuple[int, int]:
-    s_mask, t_mask = mask_of(s), mask_of(t)
+    try:
+        s_mask, t_mask = mask_of(s), mask_of(t)
+    except BadParamsError as exc:
+        raise NonDisjointError(f"S or T is not a vertex set: {exc}") from None
     if s_mask & t_mask:
         raise NonDisjointError("S and T must be disjoint")
     if (s_mask | t_mask) & ~g.full_mask:
@@ -232,16 +236,7 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
         warnings.warn(f"criterion sweep over 3^{n} assignments; this may take very long")
     adj = g.adj
     full = g.full_mask
-    tables = _PREFETCHED.pop((g, tuple(params_list)), None)
-    if tables is None:
-        first, ncomp = _component_forest([adj], n)
-        if n <= CRITERION_EXACT_LIMIT:
-            keep = _exact_keep([adj], n, first, ncomp, params_list)[0]
-        else:
-            keep = _prefilter(adj, n, ncomp[0], params_list)
-        first = first[0]
-    else:
-        first, keep = tables
+    first, keep = _PREFETCHED.pop((g, tuple(params_list)), None) or next(_criterion_tables([g], n, params_list))
     verdicts = [Verdict(exists=True)] * len(params_list)
     # a pair that keeps no R has a factor; the R walk serves the others
     live = [i for i, row in enumerate(keep) if row.any()]
@@ -292,24 +287,30 @@ def prefetch_criterion(graphs: Sequence[Graph], params_list: Sequence[ParityPara
     concurrent block costs rebuilds, never a wrong table, as an entry is
     keyed by the graph's value and its pairs.
     """
-    by_order: dict[int, list[Graph]] = {}
-    for g in graphs:
-        if g.n <= CRITERION_EXACT_LIMIT:
-            by_order.setdefault(g.n, []).append(g)
     _PREFETCHED.clear()
     try:
-        for n, order in by_order.items():
+        for n in {g.n for g in graphs if g.n <= CRITERION_EXACT_LIMIT}:
+            order = [g for g in graphs if g.n == n]
             pairs = tuple(p for p in params_list if p.admits(n))
             stack_size = max(1, STACK_CELLS // 3**n)
             for lo in range(0, len(order), stack_size):
                 stack = order[lo : lo + stack_size]
-                adjs = [g.adj for g in stack]
-                first, ncomp = _component_forest(adjs, n)
-                keep = _exact_keep(adjs, n, first, ncomp, pairs)
-                _PREFETCHED.update(((g, pairs), (f, k)) for g, f, k in zip(stack, first, keep))
+                _PREFETCHED.update(zip(((g, pairs) for g in stack), _criterion_tables(stack, n, pairs)))
         yield
     finally:
         _PREFETCHED.clear()
+
+
+def _criterion_tables(graphs: Sequence[Graph], n: int, params_list: Sequence[ParityParams]) -> Iterator[tuple]:
+    """(first, keep) for each of the graphs, all of order n, in their order: keep is
+    ``_exact_keep``'s up to ``CRITERION_EXACT_LIMIT`` and ``_prefilter``'s above it."""
+    adjs = [g.adj for g in graphs]
+    first, ncomp = _component_forest(adjs, n)
+    if n <= CRITERION_EXACT_LIMIT:
+        keep = _exact_keep(adjs, n, first, ncomp, params_list)
+    else:
+        keep = [_prefilter(adj, n, c, params_list) for adj, c in zip(adjs, ncomp)]
+    return zip(first, keep)
 
 
 def _component_forest(adjs, n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -352,32 +353,15 @@ def _popcounts(n: int) -> np.ndarray:
 
 
 @cache
-def _pair_masks(n: int) -> tuple[np.ndarray, np.ndarray]:
-    """(R, T) for each of the 3^n pairs of disjoint masks on n vertices."""
+def _pair_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(R, T) for each of the 3^n pairs of disjoint masks on n vertices, and its cell |S|(n + 1) + |T|."""
     r = t = np.zeros(1, dtype=np.intp)
     for v in range(n):
         r, t = np.concatenate([r, r | 1 << v, r]), np.concatenate([t, t, t | 1 << v])
-    r.flags.writeable = t.flags.writeable = False  # cached: shared by every later call
-    return r, t
-
-
-@lru_cache(maxsize=32)
-def _window_terms(n: int, windows: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    """b|S| - a|T| for each window (a, b) on the 3^n pairs of ``_pair_masks``, and its minimum over the windows.
-
-    The minimum starts from n, which gives an empty tuple of windows one
-    and drops no candidate of ``_exact_keep``: that adds e[R | T] + e[T] -
-    e[R] - c(R) >= -n to it, so a minimum of n - 1 or more leaves no (R, T)
-    at -2 or below.
-    """
     pc = _popcounts(n)
-    r, t = _pair_masks(n)
-    lo = np.array([a for a, _ in windows], dtype=np.int16)[:, None]
-    hi = np.array([b for _, b in windows], dtype=np.int16)[:, None]
-    terms = hi * (n - pc[r | t]) - lo * pc[t]
-    low = terms.min(axis=0, initial=n)
-    terms.flags.writeable = low.flags.writeable = False  # cached: shared by every later call
-    return terms, low
+    cell = (n - pc[r | t]).astype(np.intp) * (n + 1) + pc[t]
+    r.flags.writeable = t.flags.writeable = cell.flags.writeable = False  # cached: shared by every later call
+    return r, t, cell
 
 
 def _exact_keep(adjs, n: int, first: np.ndarray, ncomp: np.ndarray, params_list: list[ParityParams]) -> np.ndarray:
@@ -389,9 +373,11 @@ def _exact_keep(adjs, n: int, first: np.ndarray, ncomp: np.ndarray, params_list:
     parity of e(v, T).  These tables hold one column per graph, so a gather
     by mask moves whole rows.  For all 3^n disjoint (R, T) at once, eta
     without its -q term is noq = b|S| - a|T| + e[R | T] - e[R] + e[T]; its
-    first two terms and their minimum over the pairs depend on n and the
-    pairs alone (``_window_terms``).  As 0 <= q <= c(R), only the (R, T)
-    with min_i noq_i - c(R) <= -2 can violate; on those candidates q counts
+    first two terms take one value per (|S|, |T|), read from an (n + 1)^2
+    grid per pair through the cell of ``_pair_masks``.  As 0 <= q <= c(R),
+    only the (R, T) with min_i noq_i - c(R) <= -2 can violate; the minimum
+    over the pairs starts from n, which drops no candidate when there are
+    no pairs, as the rest of noq - c(R) is >= -n.  On the candidates q counts
     the components C of G[R] (walked through ``first``) with |C & odd[T]|
     odd for even a, |C - odd[T]| odd for odd a.  Lowering a to n + 1 and b
     to (n + 1)^2 moves no comparison with -2, as q takes the parity of the
@@ -401,8 +387,11 @@ def _exact_keep(adjs, n: int, first: np.ndarray, ncomp: np.ndarray, params_list:
     """
     size = 1 << n
     pc = _popcounts(n)
-    r, t = _pair_masks(n)
-    terms, low = _window_terms(n, tuple((min(p.a, n + 1), min(p.b, (n + 1) ** 2)) for p in params_list))
+    r, t, cell = _pair_masks(n)
+    cells = np.arange((n + 1) ** 2, dtype=np.int16)
+    lo = np.array([min(p.a, n + 1) for p in params_list], dtype=np.int16)[:, None]
+    hi = np.array([min(p.b, (n + 1) ** 2) for p in params_list], dtype=np.int16)[:, None]
+    grid = hi * (cells // (n + 1)) - lo * (cells % (n + 1))  # grid[i, |S|(n + 1) + |T|] = b_i|S| - a_i|T|
     rows = np.array(adjs, dtype=np.intp).reshape(len(adjs), n)
     e = np.zeros((size, len(adjs)), dtype=np.int16)
     odd = np.zeros((size, len(adjs)), dtype=np.intp)
@@ -415,8 +404,8 @@ def _exact_keep(adjs, n: int, first: np.ndarray, ncomp: np.ndarray, params_list:
     slack = e[r | t]
     slack += e[t]
     slack -= (e + ncomp.T)[r]
-    cand, k = np.divmod(np.flatnonzero(slack <= (-2 - low)[:, None]), len(adjs))
-    r, odd_t = r[cand], odd[t[cand], k]
+    cand, k = np.divmod(np.flatnonzero(slack <= (-2 - grid.min(axis=0, initial=n)).take(cell)[:, None]), len(adjs))
+    r, odd_t, cell = r[cand], odd[t[cand], k], cell[cand]
     edges = slack[cand, k] + ncomp[k, r]  # e[R | T] - e[R] + e[T]
     # q[a & 1]: the C with |C & odd[T]| odd, or with |C - odd[T]| = |C| - |C & odd[T]| odd
     q = np.zeros((2, len(r)), dtype=np.int16)
@@ -429,7 +418,7 @@ def _exact_keep(adjs, n: int, first: np.ndarray, ncomp: np.ndarray, params_list:
         rest ^= comp
     keep = np.zeros((len(adjs), len(params_list), size), dtype=bool)
     for i, p in enumerate(params_list):
-        hit = terms[i, cand] + edges - q[p.a & 1] <= -2
+        hit = grid[i, cell] + edges - q[p.a & 1] <= -2
         keep[k[hit], i, r[hit]] = True
     return keep
 

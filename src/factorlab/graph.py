@@ -7,6 +7,8 @@ operation accepts either form for its set arguments.
 
 from __future__ import annotations
 
+from numbers import Integral
+from operator import index
 from typing import Iterable, Iterator
 
 from .errors import BadParamsError, EmptyGraphError, NonDisjointError
@@ -17,17 +19,23 @@ VertexSet = int | Iterable[int]
 
 
 def mask_of(vertices: VertexSet) -> int:
-    """Bitmask for an iterable of vertex labels (idempotent on int masks)."""
-    if isinstance(vertices, int):
-        return vertices
+    """Bitmask for an iterable of vertex labels (idempotent on integer masks); refuses negative or non-integer ones."""
+    if isinstance(vertices, (int, Integral)):  # int first: the ABC check is ~25x slower
+        if vertices < 0:
+            raise BadParamsError(f"vertex mask {vertices} is negative")
+        return index(vertices)
     m = 0
     for v in vertices:
-        m |= 1 << v
+        if not isinstance(v, (int, Integral)) or v < 0:
+            raise BadParamsError(f"vertex label {v!r} is not a nonnegative integer")
+        m |= 1 << index(v)  # a numpy integer as a Python int: no int64 overflow
     return m
 
 
 def vertices_of(mask: int) -> list[int]:
-    """Sorted vertex labels present in a bitmask."""
+    """Sorted vertex labels present in a bitmask; a negative mask raises BadParamsError."""
+    if mask < 0:
+        raise BadParamsError(f"vertex mask {mask} is negative")
     return list(iter_bits(mask))
 
 
@@ -207,6 +215,8 @@ def components(g: Graph, within: VertexSet | None = None) -> list[int]:
     Parts are reported in order of their lowest vertex.
     """
     sub = g.full_mask if within is None else mask_of(within)
+    if sub & ~g.full_mask:
+        raise BadParamsError("component set references vertices outside the graph")
     adj = g.adj
     out = []
     rem = sub
@@ -231,6 +241,8 @@ def edges_between(g: Graph, s: VertexSet, t: VertexSet) -> int:
     s_mask, t_mask = mask_of(s), mask_of(t)
     if s_mask & t_mask:
         raise NonDisjointError("edges_between requires disjoint sets")
+    if (s_mask | t_mask) & ~g.full_mask:
+        raise BadParamsError("edges_between set references vertices outside the graph")
     if s_mask.bit_count() > t_mask.bit_count():
         s_mask, t_mask = t_mask, s_mask
     return sum((g.adj[v] & t_mask).bit_count() for v in iter_bits(s_mask))

@@ -324,6 +324,8 @@ def edge_rotation(g: Graph, vi: int, vj: int, moved: VertexSet) -> Graph:
     ``moved`` must be a nonempty subset of N(vj) - N(vi) avoiding vi, so the
     result stays simple.
     """
+    if not (0 <= vi < g.n and 0 <= vj < g.n):
+        raise BadRotationError(f"vi and vj must be vertices of the graph, got {vi} and {vj}")
     moved_mask = mask_of(moved)
     if moved_mask == 0:
         raise BadRotationError("moved set must be nonempty")

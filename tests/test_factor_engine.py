@@ -501,6 +501,24 @@ class TestDecideByCriterion:
 
 
 class TestStackedTables:
+    def test_pair_cells_index_the_window_grid(self):
+        # each (R, T) of _pair_masks reads b|S| - a|T| at cell |S|(n + 1) + |T|, S = V - R - T
+        for n in range(9):
+            r, t, cell = factors._pair_masks(n)
+            pc = factors._popcounts(n).astype(np.intp)
+            assert len(r) == len(t) == len(cell) == 3**n and not (r & t).any()
+            assert np.array_equal(cell, pc[((1 << n) - 1) ^ r ^ t] * (n + 1) + pc[t]), n
+
+    def test_no_pairs_keep_no_r(self):
+        # an order that no pair admits: the empty grid's minimum is n, so a
+        # stack of any order gets an empty keep table and no error
+        rng = random.Random(1919)
+        for n in range(1, 11):
+            stack = [complete(n).adj, path(n).adj, random_graph(n, 0.5, rng).adj]
+            first, ncomp = factors._component_forest(stack, n)
+            keep = factors._exact_keep(stack, n, first, ncomp, [])
+            assert keep.shape == (3, 0, 1 << n) and keep.dtype == bool, n
+
     def test_stacks_equal_one_graph_builds(self):
         # the n <= 8 corpus and seeded n = 9, 10 graphs, shuffled into
         # 64-graph chunks of mixed order: each order's stack in a chunk

@@ -2,13 +2,17 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from factorlab import (
     BadParamsError,
+    BadRotationError,
+    CriterionWitness,
     EmptyGraphError,
     FactorLabError,
     NonDisjointError,
+    ParityParams,
     complement,
     complete,
     components,
@@ -16,15 +20,19 @@ from factorlab import (
     delete_set,
     disjoint_union,
     edgeless,
+    edge_rotation,
     edges_between,
+    eta,
     from_edges,
     g_na,
     is_connected,
     join,
     mask_of,
     min_degree,
+    quotient,
     relabel,
     star,
+    verify_witness,
     vertices_of,
 )
 from factorlab.graph import Graph, validate
@@ -190,6 +198,8 @@ class TestMasks:
     def test_mask_roundtrip(self):
         assert vertices_of(mask_of([5, 1, 3])) == [1, 3, 5]
         assert mask_of(0b1010) == 0b1010
+        # numpy integers become Python ints: no int64 overflow from vertex 63 on
+        assert mask_of(np.array([1, 70])) == 1 << 1 | 1 << 70 and mask_of(np.int64(6)) == 6
 
     def test_relabel_preserves_structure(self):
         rng = random.Random(5)
@@ -203,6 +213,31 @@ class TestMasks:
         for old, new in enumerate(perm):
             back[new] = old
         assert relabel(h, back) == g
+
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            pytest.param(lambda k4: components(k4, 1 << 20), BadParamsError, id="components-outside-V"),
+            pytest.param(lambda k4: components(k4, [-1]), BadParamsError, id="components-negative-label"),
+            pytest.param(lambda k4: edges_between(k4, [9], [0]), BadParamsError, id="edges_between-outside-V"),
+            pytest.param(lambda k4: edges_between(k4, -1, 0), BadParamsError, id="edges_between-negative-mask"),
+            pytest.param(lambda k4: edge_rotation(k4, 9, 0, [1]), BadRotationError, id="edge_rotation-vi-outside-V"),
+            pytest.param(lambda k4: edge_rotation(k4, -1, 0, [3]), BadRotationError, id="edge_rotation-negative-vi"),
+            pytest.param(lambda k4: eta(k4, [-1], [], ParityParams(1, 1)), NonDisjointError, id="eta-negative-label"),
+            pytest.param(lambda k4: quotient(k4, [[0, 1], [2, 3, -1]]), BadParamsError, id="quotient-negative-label"),
+            pytest.param(lambda k4: delete_set(k4, [-1]), BadParamsError, id="delete_set-negative-label"),
+            pytest.param(lambda k4: mask_of([0, 1.5]), BadParamsError, id="mask_of-non-integer-label"),
+            pytest.param(lambda k4: vertices_of(-1), BadParamsError, id="vertices_of-negative-mask"),
+        ],
+    )
+    def test_bad_vertex_set_is_refused(self, call, error):
+        # each once raised IndexError or ValueError, returned 0, or (vertices_of(-1)) never returned
+        with pytest.raises(error):
+            call(complete(4))
+
+    def test_negative_witness_mask_is_not_verified(self):
+        witness = CriterionWitness(s_set=-1, t_set=0, eta=-2, q=0, deg_sum=0)
+        assert not verify_witness(complete(4), witness, ParityParams(1, 1))
 
 
 class TestGraphType:
