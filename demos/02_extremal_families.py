@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
-"""The four extremal families and their structural fingerprints."""
+"""The two extremal families, G_{n,a} and the book family, and their structural fingerprints."""
 
-from factorlab import book_family, g_na, h_nab, min_degree, odd_1b, vertices_of
+from factorlab import book_family, g_na, min_degree, vertices_of
 
 print("=== g_na(12, 2): the tight example for parity [a,b]-factors ===")
 cons = g_na(12, 2)
@@ -12,15 +12,8 @@ for name, mask in cons.blocks.items():
     print(f"  block {name:13} vertices {verts} degrees {[g.degree(v) for v in verts]}")
 
 print()
-print("=== h_nab(14, 3, 5): the plain [a,b]-factor extremal graph ===")
-cons = h_nab(14, 3, 5)
-g = cons.graph
-special = vertices_of(cons.blocks["special"])[0]
-print("order", g.n, "size", g.m, "designated vertex degree", g.degree(special))
-
-print()
-print("=== odd_1b(12, 3): the a = 1 threshold graph ===")
-cons = odd_1b(12, 3)
+print("=== book_family(12, 1, 3): the a = 1 threshold graph ===")
+cons = book_family(12, 1, 3)
 g = cons.graph
 print("hub degree", g.degree(0), "min degree", min_degree(g))
 print("recorded hypothesis (not enforced):", cons.hypothesis)

@@ -33,7 +33,7 @@ from .factors import (
     verify_certificate,
     verify_witness,
 )
-from .families import LabeledConstruction, book_family, clique_join, g_na, h_nab, odd_1b
+from .families import LabeledConstruction, book_family, clique_join, g_na
 from .graph import (
     Graph,
     complement,

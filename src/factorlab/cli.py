@@ -17,14 +17,13 @@ from .errors import BadParamsError, FactorLabError, Graph6Error, ParityPrecondit
 from .factors import (
     ParityParams, decide_by_criterion, decide_by_matching, decide_by_search, verify_certificate, verify_witness,
 )
-from .families import book_family, g_na, h_nab, odd_1b
+from .families import book_family, g_na
 from .graph import MAX_VERTICES, mask_of, vertices_of
 from .graph6 import read_graph6, read_graph6_file, to_graph6
 from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, NotEquitable, quotient, quotient_rho, spectral_radius
 
 # family name -> (builder, the options it needs besides --n)
-FAMILIES = {"g-na": (g_na, ("a",)), "h-nab": (h_nab, ("a", "b")), "odd-1b": (odd_1b, ("b",)),
-            "book": (book_family, ("s", "b"))}
+FAMILIES = {"g-na": (g_na, ("a",)), "book": (book_family, ("s", "b"))}
 
 
 def _read_input_graphs(args) -> list:

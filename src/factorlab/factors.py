@@ -45,7 +45,7 @@ from .errors import (
     ParityPreconditionError,
     SizeLimitError,
 )
-from .graph import Graph, VertexSet, components, iter_bits, mask_of
+from .graph import Graph, VertexSet, as_ints, components, iter_bits, mask_of
 from .matching import max_matching
 
 CRITERION_VERTEX_LIMIT = 18
@@ -67,6 +67,7 @@ class ParityParams:
     b: int
 
     def __post_init__(self):
+        as_ints((self.a, self.b), ParityPreconditionError, "a and b")
         if not 1 <= self.a <= self.b:
             raise ParityPreconditionError(f"need 1 <= a <= b, got a={self.a}, b={self.b}")
         if (self.a - self.b) % 2 != 0:
@@ -91,6 +92,7 @@ class GFParams:
     def __post_init__(self):
         if len(self.g) != len(self.f):
             raise InvalidGFError("g and f must have equal length")
+        as_ints((*self.g, *self.f), InvalidGFError, "g and f")
         for v, (gv, fv) in enumerate(zip(self.g, self.f)):
             if not 0 <= gv <= fv:
                 raise InvalidGFError(f"need 0 <= g(v) <= f(v) at v={v}: g={gv}, f={fv}")

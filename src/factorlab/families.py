@@ -1,6 +1,6 @@
 """Constructors for the extremal graph families under study.
 
-Each family is a join K_s v (K_c1 + ... + K_cq) plus at most a few edges;
+Each family is a join K_s v (K_c1 + ... + K_cq), to which g_na adds a vertex;
 ``clique_join`` is the one builder of that shape, and each constructor
 builds one ``Graph`` from its rows.  Every constructor returns a
 ``LabeledConstruction``: the graph plus named vertex blocks (as bitmasks)
@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BadParamsError
-from .graph import MAX_VERTICES, Graph
+from .graph import MAX_VERTICES, Graph, as_ints
 
 
 @dataclass(frozen=True)
@@ -25,7 +25,7 @@ class LabeledConstruction:
     graph: Graph
     blocks: dict[str, int]
     params: dict[str, int]
-    hypothesis: dict[str, int | str] = field(default_factory=dict)
+    hypothesis: dict[str, int] = field(default_factory=dict)
 
     def parts(self) -> list[int]:
         """Block masks in declaration order (a partition of V)."""
@@ -36,17 +36,13 @@ def _range_mask(start: int, size: int) -> int:
     return ((1 << size) - 1) << start
 
 
-def _check_order(family: str, n: int) -> None:
-    if n > MAX_VERTICES:  # before any row or clique-size tuple is built
-        raise BadParamsError(f"{family} requires n <= {MAX_VERTICES}, got n={n}")
-
-
 def clique_join(s: int, sizes: tuple[int, ...]) -> list[int]:
     """Adjacency rows of K_s joined to the disjoint union of K_c, c in sizes.
 
     Labels: K_s first, then each clique in order; a size-1 clique is an
     isolated vertex of the union.
     """
+    s, *sizes = as_ints((s, *sizes), BadParamsError, "clique_join's s and sizes")
     n = s + sum(sizes)
     if s < 0 or min(sizes, default=1) < 1 or n > MAX_VERTICES:
         raise BadParamsError(f"clique_join needs s >= 0, sizes >= 1, order <= {MAX_VERTICES}; got s={s}, order {n}")
@@ -66,11 +62,13 @@ def g_na(n: int, a: int) -> LabeledConstruction:
     Labels: small clique 0..a-2, big clique a-1..n-a-3, independent set
     n-a-2..n-2, added vertex n-1.
     """
+    n, a = as_ints((n, a), BadParamsError, "g_na's n and a")
     if a < 2:
         raise BadParamsError(f"g_na requires a >= 2, got a={a}")
     if n < 2 * a + 3:
         raise BadParamsError(f"g_na requires n >= 2a+3 = {2 * a + 3}, got n={n}")
-    _check_order("g_na", n)
+    if n > MAX_VERTICES:  # before any row or clique-size tuple is built
+        raise BadParamsError(f"g_na requires n <= {MAX_VERTICES}, got n={n}")
     rows = clique_join(a - 1, (n - 2 * a - 1,) + (1,) * (a + 1))
     indep = _range_mask(n - a - 2, a + 1)
     w_bit = 1 << (n - 1)
@@ -86,70 +84,21 @@ def g_na(n: int, a: int) -> LabeledConstruction:
     return LabeledConstruction(graph, blocks, {"n": n, "a": a})
 
 
-def h_nab(n: int, a: int, b: int) -> LabeledConstruction:
-    """K_a joined to (K_{n-a-b-1} + (b+1) isolated vertices), with a-1 extra
-    edges from one designated independent vertex into the big clique.
-
-    Labels: small clique 0..a-1, big clique a..n-b-2, plain independent
-    vertices n-b-1..n-2, designated vertex n-1.
-    """
-    if not 1 <= a < b:
-        raise BadParamsError(f"h_nab requires 1 <= a < b, got a={a}, b={b}")
-    if n < a + b + 2:
-        raise BadParamsError(f"h_nab requires n >= a+b+2 = {a + b + 2}, got n={n}")
-    big = n - a - b - 1
-    if big < a - 1:
-        # the designated vertex needs a-1 distinct clique neighbors
-        raise BadParamsError(f"h_nab requires n - a - b - 1 >= a - 1, got {big}")
-    _check_order("h_nab", n)
-    rows = clique_join(a, (big,) + (1,) * (b + 1))
-    special = n - 1
-    for v in range(a, a + (a - 1)):  # first a-1 big-clique vertices
-        rows[special] |= 1 << v
-        rows[v] |= 1 << special
-    graph = Graph(n, rows)
-    blocks = {
-        "clique_small": _range_mask(0, a),
-        "clique_big": _range_mask(a, big),
-        "indep": _range_mask(a + big, b),
-        "special": 1 << special,
-    }
-    return LabeledConstruction(graph, blocks, {"n": n, "a": a, "b": b})
-
-
-def odd_1b(n: int, b: int) -> LabeledConstruction:
-    """K_1 joined to (K_{n-b-2} + (b+1) isolated vertices).
-
-    Labels: hub 0, big clique 1..n-b-2, independent set n-b-1..n-1.
-    """
-    if b < 1:
-        raise BadParamsError(f"odd_1b requires b >= 1, got b={b}")
-    if n < b + 3:
-        raise BadParamsError(f"odd_1b requires n >= b+3 = {b + 3}, got n={n}")
-    _check_order("odd_1b", n)
-    graph = Graph(n, clique_join(1, (n - b - 2,) + (1,) * (b + 1)))
-    blocks = {
-        "hub": 1,
-        "clique_big": _range_mask(1, n - b - 2),
-        "indep": _range_mask(n - b - 1, b + 1),
-    }
-    hyp = {"n_even": "required by the odd-factor setting", "n_min": 4 * b + 8}
-    return LabeledConstruction(graph, blocks, {"n": n, "b": b}, hyp)
-
-
 def book_family(n: int, s: int, b: int) -> LabeledConstruction:
     """K_s joined to (K_{n-b-s-1} + (b+1) isolated vertices).
 
     Labels: small clique 0..s-1, big clique s..n-b-2, independent set
     n-b-1..n-1.  The three blocks form an equitable partition.
     """
+    n, s, b = as_ints((n, s, b), BadParamsError, "book_family's n, s and b")
     if s < 1:
         raise BadParamsError(f"book_family requires s >= 1, got s={s}")
     if b < 1:
         raise BadParamsError(f"book_family requires b >= 1, got b={b}")
     if n < b + s + 2:
         raise BadParamsError(f"book_family requires n >= b+s+2 = {b + s + 2}, got n={n}")
-    _check_order("book_family", n)
+    if n > MAX_VERTICES:  # before any row or clique-size tuple is built
+        raise BadParamsError(f"book_family requires n <= {MAX_VERTICES}, got n={n}")
     graph = Graph(n, clique_join(s, (n - b - s - 1,) + (1,) * (b + 1)))
     blocks = {
         "clique_small": _range_mask(0, s),

@@ -11,7 +11,7 @@ from numbers import Integral
 from operator import index
 from typing import Iterable, Iterator
 
-from .errors import BadParamsError, EmptyGraphError, NonDisjointError
+from .errors import BadParamsError, EmptyGraphError, FactorLabError, NonDisjointError
 
 MAX_VERTICES = 4096
 
@@ -25,11 +25,19 @@ def mask_of(vertices: VertexSet) -> int:
             raise BadParamsError(f"vertex mask {vertices} is negative")
         return index(vertices)
     m = 0
-    for v in vertices:
+    for v in vertices if isinstance(vertices, Iterable) else (vertices,):  # a float or None: one bad label
         if not isinstance(v, (int, Integral)) or v < 0:
             raise BadParamsError(f"vertex label {v!r} is not a nonnegative integer")
         m |= 1 << index(v)  # a numpy integer as a Python int: no int64 overflow
     return m
+
+
+def as_ints(values: Iterable, error: type[FactorLabError], what: str) -> list[int]:
+    """``values`` as Python ints, numpy integers too (a numpy shift overflows past bit 63); else raises ``error``."""
+    try:
+        return [index(v) for v in values]
+    except TypeError:
+        raise error(f"{what} must be integers, got {values!r}") from None
 
 
 def vertices_of(mask: int) -> list[int]:
@@ -112,7 +120,11 @@ class Graph:
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; rejects loops and out-of-range labels."""
     rows = [0] * n
-    for u, v in edges:
+    for edge in edges:
+        try:
+            u, v = map(index, edge)  # numpy labels as Python ints, as in mask_of
+        except (TypeError, ValueError):
+            raise BadParamsError(f"edge {edge!r} is not a pair of integer labels") from None
         if u == v:
             raise BadParamsError(f"self-loop ({u},{v})")
         if not (0 <= u < n and 0 <= v < n):
@@ -262,12 +274,13 @@ def is_connected(g: Graph) -> bool:
 
 def relabel(g: Graph, new_of_old: list[int]) -> Graph:
     """Apply a permutation: vertex v of g becomes new_of_old[v]."""
-    if sorted(new_of_old) != list(range(g.n)):
+    perm = as_ints(new_of_old, BadParamsError, "relabel map entries")
+    if sorted(perm) != list(range(g.n)):
         raise BadParamsError("relabel map is not a permutation")
     rows = [0] * g.n
     for v in range(g.n):
         row = 0
         for u in iter_bits(g.adj[v]):
-            row |= 1 << new_of_old[u]
-        rows[new_of_old[v]] = row
+            row |= 1 << perm[u]
+        rows[perm[v]] = row
     return Graph(g.n, rows)

@@ -27,6 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import sqrt, ulp
+from numbers import Integral, Real
 from operator import mul
 
 import numpy as np
@@ -37,7 +38,7 @@ from .errors import (
     NotAPartitionError,
     NotConvergedError,
 )
-from .graph import MAX_VERTICES, Graph, VertexSet, components, iter_bits, mask_of, vertices_of
+from .graph import MAX_VERTICES, Graph, VertexSet, as_ints, components, iter_bits, mask_of, vertices_of
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
@@ -132,10 +133,10 @@ def spectral_radius(
     """
     if g.n == 0:
         raise BadParamsError("spectral radius of the empty graph is undefined")
-    if max_iter < 0:
-        raise BadParamsError(f"max_iter must be at least 0, got {max_iter}")
-    if not tol >= 0:  # also rejects NaN, which no residual can meet
-        raise BadParamsError(f"tol must be at least 0, got {tol}")
+    if not isinstance(max_iter, Integral) or max_iter < 0:
+        raise BadParamsError(f"max_iter must be an integer at least 0, got {max_iter!r}")
+    if not (isinstance(tol, Real) and tol >= 0):  # also rejects NaN, which no residual can meet
+        raise BadParamsError(f"tol must be a number at least 0, got {tol!r}")
     a = adjacency_matrix(g)
     comps = components(g)
     if len(comps) == 1:
@@ -324,6 +325,7 @@ def edge_rotation(g: Graph, vi: int, vj: int, moved: VertexSet) -> Graph:
     ``moved`` must be a nonempty subset of N(vj) - N(vi) avoiding vi, so the
     result stays simple.
     """
+    vi, vj = as_ints((vi, vj), BadRotationError, "vi and vj")
     if not (0 <= vi < g.n and 0 <= vj < g.n):
         raise BadRotationError(f"vi and vj must be vertices of the graph, got {vi} and {vj}")
     moved_mask = mask_of(moved)

@@ -52,8 +52,8 @@ class TestConstruct:
 
     def test_all_families(self, capsys):
         for argv in (
-            ["construct", "h-nab", "--n", "14", "--a", "2", "--b", "4"],
-            ["construct", "odd-1b", "--n", "12", "--b", "3"],
+            ["construct", "g-na", "--n", "14", "--a", "3"],
+            ["construct", "book", "--n", "12", "--s", "1", "--b", "3"],
             ["construct", "book", "--n", "20", "--s", "2", "--b", "5"],
         ):
             code, out, _ = run_cli(capsys, argv)
@@ -70,6 +70,11 @@ class TestConstruct:
         code, _, err = run_cli(capsys, ["construct", "g-na", "--n", "5", "--a", "2"])
         assert code == 2
         assert "error" in err
+        # no such family: argparse's invalid choice
+        for argv in (["construct", "odd-1b", "--n", "12", "--b", "3"],
+                     ["construct", "h-nab", "--n", "14", "--a", "2", "--b", "4"]):
+            code, err = run_exit(capsys, argv)
+            assert code == 2 and "invalid choice" in err
 
     def test_order_above_limit_names_n(self, capsys):
         # rejected before any adjacency row is built, naming the requested order

@@ -16,10 +16,8 @@ from factorlab import (
     edges_between,
     eta,
     g_na,
-    h_nab,
     join,
     min_degree,
-    odd_1b,
     quotient,
     vertices_of,
 )
@@ -100,65 +98,26 @@ class TestGna:
             g_na(6, 2)  # needs n >= 7
 
 
-class TestHnab:
-    def test_degrees(self):
-        for n, a, b in [(12, 2, 4), (13, 3, 5), (11, 1, 2), (16, 3, 4)]:
-            cons = h_nab(n, a, b)
-            assert block_degrees(cons, "special") == {2 * a - 1}
-            assert block_degrees(cons, "indep") == {a}
-            assert min_degree(cons.graph) == a
+class TestBookFamily:
+    def test_indep_degree_is_s(self):
+        for n, s, b in [(12, 1, 3), (20, 1, 4), (25, 3, 6), (40, 5, 9)]:
+            cons = book_family(n, s, b)
+            assert block_degrees(cons, "indep") == {s}
+            assert block_degrees(cons, "clique_small") == {n - 1}
+            assert min_degree(cons.graph) == s
             validate(cons.graph)
 
-    def test_edge_additivity(self):
-        n, a, b = 14, 3, 5
-        cons = h_nab(n, a, b)
-        base = join(complete(a), disjoint_union(complete(n - a - b - 1), edgeless(b + 1)))
-        assert cons.graph.m == base.m + a - 1
-
-    def test_needs_room_for_extra_edges(self):
-        with pytest.raises(BadParamsError):
-            h_nab(10, 3, 5)  # big clique would have 1 < a-1 vertices
-        with pytest.raises(BadParamsError):
-            h_nab(10, 3, 3)
-        with pytest.raises(BadParamsError):
-            h_nab(7, 2, 4)
-
-
-class TestOdd1b:
-    def test_degrees(self):
-        n, b = 12, 3
-        cons = odd_1b(n, b)
-        assert block_degrees(cons, "indep") == {1}
-        assert block_degrees(cons, "hub") == {n - 1}
-        assert min_degree(cons.graph) == 1
-
     def test_no_odd_factor_witness(self):
-        # S = hub, T = independent block violates the criterion for (1, b)
+        # at s = 1, S = the small clique and T = the independent block violate the criterion for (1, b)
         for n, b in [(12, 3), (16, 5), (20, 3)]:
-            cons = odd_1b(n, b)
-            value = eta(cons.graph, cons.blocks["hub"], cons.blocks["indep"],
+            cons = book_family(n, 1, b)
+            value = eta(cons.graph, cons.blocks["clique_small"], cons.blocks["indep"],
                         ParityParams(1, b))
             assert value == -2
 
     def test_hypothesis_recorded_not_enforced(self):
-        cons = odd_1b(10, 3)  # below 4b+8 = 20: allowed, recorded
-        assert cons.hypothesis["n_min"] == 20
-
-    def test_bad_params(self):
-        with pytest.raises(BadParamsError):
-            odd_1b(5, 3)
-
-
-class TestBookFamily:
-    def test_indep_degree_is_s(self):
-        for n, s, b in [(20, 1, 4), (25, 3, 6), (40, 5, 9)]:
-            cons = book_family(n, s, b)
-            assert block_degrees(cons, "indep") == {s}
-            validate(cons.graph)
-
-    def test_s1_equals_odd_1b(self):
-        n, b = 18, 4
-        assert book_family(n, 1, b).graph == odd_1b(n, b).graph
+        cons = book_family(12, 2, 5)  # below n_min = (b+1)s+1 = 13: allowed, recorded
+        assert cons.hypothesis["n_min"] == 13
 
     def test_quotient_rows_match_closed_form(self):
         for n, s, b in [(20, 1, 4), (26, 2, 5), (50, 4, 8)]:
@@ -182,6 +141,8 @@ class TestBookFamily:
             book_family(7, 2, 4)
         with pytest.raises(BadParamsError):
             book_family(10, 0, 4)
+        with pytest.raises(BadParamsError):
+            book_family(5, 1, 3)
 
 
 # ---------------------------------------------------------------------------
@@ -204,15 +165,6 @@ def chained_gna(n, a):
     return Graph(n, rows)
 
 
-def chained_hnab(n, a, b):
-    core = join(complete(a), disjoint_union(complete(n - a - b - 1), edgeless(b + 1)))
-    rows = list(core.adj)
-    for v in range(a, 2 * a - 1):
-        rows[n - 1] |= 1 << v
-        rows[v] |= 1 << (n - 1)
-    return Graph(n, rows)
-
-
 def chained_book(n, s, b):
     return join(complete(s), disjoint_union(complete(n - b - s - 1), edgeless(b + 1)))
 
@@ -225,14 +177,10 @@ class TestCliqueJoin:
                 assert g_na(n, a).graph == chained_gna(n, a), (n, a)
                 checked += 1
             for b in range(1, n - 2):
-                assert odd_1b(n, b).graph == chained_book(n, 1, b), (n, b)
                 for s in range(1, n - b - 1):
                     assert book_family(n, s, b).graph == chained_book(n, s, b), (n, s, b)
-                for a in range(1, b):
-                    if n - a - b - 1 >= max(a - 1, 1):
-                        assert h_nab(n, a, b).graph == chained_hnab(n, a, b), (n, a, b)
-                        checked += 1
-        assert checked > 400
+                    checked += 1
+        assert checked == 182 + 4495  # g_na, then book_family
 
     def test_lemma26_compositions_match(self):
         count = 0
@@ -260,8 +208,7 @@ class TestCliqueJoin:
     def test_order_above_limit_rejected_naming_n(self):
         # rejected before any row or clique-size tuple is built
         for n in (MAX_VERTICES + 1, 10**9):
-            for build, args in [(g_na, (2,)), (h_nab, (2, 4)), (odd_1b, (3,)), (book_family, (2, 5)),
-                                (book_family, (1, n - 5))]:
+            for build, args in [(g_na, (2,)), (book_family, (2, 5)), (book_family, (1, n - 5))]:
                 with pytest.raises(BadParamsError, match=str(n)):
                     build(n, *args)
         assert g_na(MAX_VERTICES, 2).graph.n == MAX_VERTICES

@@ -14,8 +14,6 @@ from factorlab import (
     from_edges,
     from_graph6,
     g_na,
-    h_nab,
-    odd_1b,
     path,
     read_graph6,
     read_graph6_file,
@@ -59,8 +57,8 @@ class TestRoundTrip:
         graphs = [
             g_na(12, 2).graph,
             g_na(15, 3).graph,
-            h_nab(12, 2, 4).graph,
-            odd_1b(12, 3).graph,
+            from_graph6("K~~~}B?oE?[?"),  # book_family(12, 2, 4) plus the edge {2, 11}
+            book_family(12, 1, 3).graph,
             book_family(20, 2, 5).graph,
             cycle(9),
             star(30),

@@ -11,8 +11,13 @@ from factorlab import (
     CriterionWitness,
     EmptyGraphError,
     FactorLabError,
+    GFParams,
+    InvalidGFError,
     NonDisjointError,
     ParityParams,
+    ParityPreconditionError,
+    book_family,
+    clique_join,
     complement,
     complete,
     components,
@@ -31,7 +36,9 @@ from factorlab import (
     min_degree,
     quotient,
     relabel,
+    spectral_radius,
     star,
+    survey_theorem,
     verify_witness,
     vertices_of,
 )
@@ -200,6 +207,7 @@ class TestMasks:
         assert mask_of(0b1010) == 0b1010
         # numpy integers become Python ints: no int64 overflow from vertex 63 on
         assert mask_of(np.array([1, 70])) == 1 << 1 | 1 << 70 and mask_of(np.int64(6)) == 6
+        assert from_edges(71, [tuple(np.array([0, 70]))]) == from_edges(71, [(0, 70)])
 
     def test_relabel_preserves_structure(self):
         rng = random.Random(5)
@@ -228,16 +236,53 @@ class TestMasks:
             pytest.param(lambda k4: delete_set(k4, [-1]), BadParamsError, id="delete_set-negative-label"),
             pytest.param(lambda k4: mask_of([0, 1.5]), BadParamsError, id="mask_of-non-integer-label"),
             pytest.param(lambda k4: vertices_of(-1), BadParamsError, id="vertices_of-negative-mask"),
+            pytest.param(lambda k4: components(k4, 1.5), BadParamsError, id="components-float-set"),
+            pytest.param(lambda k4: delete_set(k4, None), BadParamsError, id="delete_set-none-set"),
+            pytest.param(lambda k4: eta(k4, 1.5, 0, ParityParams(1, 1)), NonDisjointError, id="eta-float-set"),
+            pytest.param(lambda k4: edges_between(k4, 1.5, 2), BadParamsError, id="edges_between-float-set"),
+            pytest.param(lambda k4: from_edges(3, [(0, 1.5)]), BadParamsError, id="from_edges-float-label"),
+            pytest.param(lambda k4: from_edges(3, [(0, 1, 2)]), BadParamsError, id="from_edges-triple"),
+            pytest.param(lambda k4: relabel(k4, [0, 1, 2, 3.0]), BadParamsError, id="relabel-float-label"),
+            pytest.param(lambda k4: edge_rotation(k4, 0.5, 1, [2]), BadRotationError, id="edge_rotation-float-vi"),
         ],
     )
     def test_bad_vertex_set_is_refused(self, call, error):
-        # each once raised IndexError or ValueError, returned 0, or (vertices_of(-1)) never returned
+        # each once raised IndexError, ValueError or TypeError, returned 0, or (vertices_of(-1)) never returned
         with pytest.raises(error):
             call(complete(4))
 
     def test_negative_witness_mask_is_not_verified(self):
-        witness = CriterionWitness(s_set=-1, t_set=0, eta=-2, q=0, deg_sum=0)
-        assert not verify_witness(complete(4), witness, ParityParams(1, 1))
+        for s_set in (-1, 1.5):
+            witness = CriterionWitness(s_set=s_set, t_set=0, eta=-2, q=0, deg_sum=0)
+            assert not verify_witness(complete(4), witness, ParityParams(1, 1))
+
+
+class TestIntegerParams:
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            pytest.param(lambda: ParityParams(1.5, 3.5), ParityPreconditionError, id="ParityParams"),
+            pytest.param(lambda: GFParams((0.5,) * 4, (2.5,) * 4), InvalidGFError, id="GFParams"),
+            pytest.param(lambda: g_na(12.0, 2), BadParamsError, id="g_na"),
+            pytest.param(lambda: book_family(20, 2.0, 5), BadParamsError, id="book_family"),
+            pytest.param(lambda: clique_join(1, (2.5,)), BadParamsError, id="clique_join"),
+            pytest.param(lambda: survey_theorem(12.0, 2, 4, samples=1), BadParamsError, id="survey_theorem"),
+            pytest.param(lambda: spectral_radius(complete(4), tol="x"), BadParamsError, id="spectral_radius-tol"),
+            pytest.param(lambda: spectral_radius(complete(4), max_iter=1.5), BadParamsError, id="spectral_radius-max_iter"),
+        ],
+    )
+    def test_non_integer_is_refused(self, monkeypatch, call, error):
+        # each once was accepted or raised TypeError; a family refuses before it builds a row
+        monkeypatch.setattr("factorlab.families.clique_join", lambda *args: pytest.fail("rows were built"))
+        with pytest.raises(error):
+            call()
+
+    def test_numpy_integers_are_accepted(self):
+        n, two, four, five = map(np.int64, (80, 2, 4, 5))
+        assert g_na(n, two).graph == g_na(80, 2).graph
+        assert book_family(n, two, five).graph == book_family(80, 2, 5).graph
+        assert ParityParams(two, four) == ParityParams(2, 4) and GFParams((two,), (four,)).f == (4,)
+        assert spectral_radius(complete(4), tol=np.float64(1e-9), max_iter=np.int64(100)).rho == pytest.approx(3)
 
 
 class TestGraphType:
