@@ -11,6 +11,7 @@ from .errors import (
     NonDisjointError,
     NotAPartitionError,
     NotConvergedError,
+    NotEquitableError,
     ParityPreconditionError,
     SamplerExhaustedError,
     SizeLimitError,
@@ -73,7 +74,6 @@ from .harness import (
 )
 from .matching import has_perfect_matching, max_matching_size
 from .spectral import (
-    NotEquitable,
     QuotientMatrix,
     SpectralResult,
     book_charpoly,

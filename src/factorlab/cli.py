@@ -20,7 +20,7 @@ from .factors import (
 from .families import book_family, g_na
 from .graph import MAX_VERTICES, mask_of, vertices_of
 from .graph6 import read_graph6, read_graph6_file, to_graph6
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, NotEquitable, quotient, quotient_rho, spectral_radius
+from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, quotient, quotient_rho, spectral_radius
 
 # family name -> (builder, the options it needs besides --n)
 FAMILIES = {"g-na": (g_na, ("a",)), "book": (book_family, ("s", "b"))}
@@ -40,11 +40,9 @@ def _cmd_construct(args) -> int:
     build, needed = FAMILIES[args.family]
     kwargs = {"n": args.n}
     for name in needed:
-        value = getattr(args, name)
-        if value is None:
-            print(f"construct {args.family} requires --{name}", file=sys.stderr)
-            return 2
-        kwargs[name] = value
+        kwargs[name] = getattr(args, name)
+        if kwargs[name] is None:
+            raise BadParamsError(f"construct {args.family} requires --{name}")
     cons = build(**kwargs)
     sidecar = {
         "family": args.family,
@@ -82,14 +80,7 @@ def _cmd_rho(args) -> int:
     out = []
     for g in graphs:
         if parts is not None:
-            qm = quotient(g, parts)
-            if isinstance(qm, NotEquitable):
-                print(
-                    f"partition not equitable at vertex {qm.vertex}, part {qm.part}",
-                    file=sys.stderr,
-                )
-                return 2
-            out.append({"method": "quotient", "rho": quotient_rho(qm), "parts": len(parts)})
+            out.append({"method": "quotient", "rho": quotient_rho(quotient(g, parts)), "parts": len(parts)})
         else:
             r = spectral_radius(g, tol=args.tol, max_iter=args.max_iter)
             out.append(

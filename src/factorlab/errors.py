@@ -35,6 +35,17 @@ class NotConvergedError(FactorLabError):
     root (no sign change across it, as at a root of even multiplicity)."""
 
 
+class NotEquitableError(FactorLabError):
+    """A partition is not equitable: ``vertex`` has a different neighbour count in ``part`` from its part's first vertex."""
+
+    def __init__(self, vertex: int, part: int):
+        super().__init__(vertex, part)  # the args rebuild it when unpickled
+        self.vertex, self.part = vertex, part
+
+    def __str__(self) -> str:
+        return f"partition not equitable at vertex {self.vertex}, part {self.part}"
+
+
 class NotAPartitionError(FactorLabError):
     """Vertex sets passed as a partition do not partition V."""
 

@@ -90,9 +90,10 @@ class GFParams:
     f: tuple[int, ...]
 
     def __post_init__(self):
+        for name in ("g", "f"):  # kept as tuples of Python ints, so an iterator is read once
+            object.__setattr__(self, name, tuple(as_ints(getattr(self, name), InvalidGFError, name)))
         if len(self.g) != len(self.f):
             raise InvalidGFError("g and f must have equal length")
-        as_ints((*self.g, *self.f), InvalidGFError, "g and f")
         for v, (gv, fv) in enumerate(zip(self.g, self.f)):
             if not 0 <= gv <= fv:
                 raise InvalidGFError(f"need 0 <= g(v) <= f(v) at v={v}: g={gv}, f={fv}")
@@ -345,23 +346,12 @@ def _component_forest(adjs, n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 @cache
-def _popcounts(n: int) -> np.ndarray:
-    """popcount(X) for every X < 2^n, as uint8."""
-    pc = np.zeros(1, dtype=np.uint8)
-    for _ in range(n):
-        pc = np.concatenate([pc, pc + 1])
-    pc.flags.writeable = False  # cached: shared by every later call
-    return pc
-
-
-@cache
 def _pair_masks(n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(R, T) for each of the 3^n pairs of disjoint masks on n vertices, and its cell |S|(n + 1) + |T|."""
     r = t = np.zeros(1, dtype=np.intp)
     for v in range(n):
         r, t = np.concatenate([r, r | 1 << v, r]), np.concatenate([t, t, t | 1 << v])
-    pc = _popcounts(n)
-    cell = (n - pc[r | t]).astype(np.intp) * (n + 1) + pc[t]
+    cell = (n - np.bitwise_count(r | t)).astype(np.intp) * (n + 1) + np.bitwise_count(t)
     r.flags.writeable = t.flags.writeable = cell.flags.writeable = False  # cached: shared by every later call
     return r, t, cell
 
@@ -388,7 +378,6 @@ def _exact_keep(adjs, n: int, first: np.ndarray, ncomp: np.ndarray, params_list:
     other pairs do not depend on b.
     """
     size = 1 << n
-    pc = _popcounts(n)
     r, t, cell = _pair_masks(n)
     cells = np.arange((n + 1) ** 2, dtype=np.int16)
     lo = np.array([min(p.a, n + 1) for p in params_list], dtype=np.int16)[:, None]
@@ -399,7 +388,7 @@ def _exact_keep(adjs, n: int, first: np.ndarray, ncomp: np.ndarray, params_list:
     odd = np.zeros((size, len(adjs)), dtype=np.intp)
     half = 1
     for v in range(n):
-        e[half : 2 * half] = e[:half] + pc[np.arange(half)[:, None] & rows[:, v]]
+        e[half : 2 * half] = e[:half] + np.bitwise_count(np.arange(half)[:, None] & rows[:, v])
         odd[half : 2 * half] = odd[:half] ^ rows[:, v]
         half *= 2
     # slack = noq - c(R) less its window terms: e[R | T] + e[T] - (e[R] + c(R))
@@ -414,9 +403,9 @@ def _exact_keep(adjs, n: int, first: np.ndarray, ncomp: np.ndarray, params_list:
     flat_first = first.ravel()
     rest = k * size + r  # (k, R) in the flat first: R is the low n bits, and first[k, 0] = 0
     while (comp := flat_first[rest]).any():
-        inside = pc[comp & odd_t]
+        inside = np.bitwise_count(comp & odd_t)
         q[0] += inside & 1
-        q[1] += (inside ^ pc[comp]) & 1
+        q[1] += (inside ^ np.bitwise_count(comp)) & 1
         rest ^= comp
     keep = np.zeros((len(adjs), len(params_list), size), dtype=bool)
     for i, p in enumerate(params_list):
@@ -472,7 +461,6 @@ def _prefilter(adj, n: int, ncomp: np.ndarray, params_list: list[ParityParams]) 
     """
     bits = min(n, FOREST_BLOCK.bit_length() - 1)
     block = 1 << bits
-    pc = _popcounts(bits)
     cover = _clique_cover(adj, n)
     order = [x for k in cover for x in k]  # d's rows: each clique is one slice
     row_of = {x: i for i, x in enumerate(order)}
@@ -497,7 +485,7 @@ def _prefilter(adj, n: int, ncomp: np.ndarray, params_list: list[ParityParams]) 
                 np.maximum(lo, up, out=up)
                 lo[...] = low
             rows += np.arange(0, 2 * k, 2, dtype=np.uint8)[:, None]
-        w = (n - start.bit_count() - pc).astype(np.int16)
+        w = (n - start.bit_count() - np.bitwise_count(np.arange(block))).astype(np.int16)
         c = ncomp[start : start + block]
         for i in sorted(range(len(clamped)), key=lambda i: -sum(clamped[i])):
             a, b = clamped[i]

@@ -33,11 +33,24 @@ def mask_of(vertices: VertexSet) -> int:
 
 
 def as_ints(values: Iterable, error: type[FactorLabError], what: str) -> list[int]:
-    """``values`` as Python ints, numpy integers too (a numpy shift overflows past bit 63); else raises ``error``."""
+    """``values`` as Python ints, numpy integers too (a numpy shift overflows past bit 63); a bool or any other value raises ``error``."""
     try:
-        return [index(v) for v in values]
-    except TypeError:
-        raise error(f"{what} must be integers, got {values!r}") from None
+        values = tuple(values)
+        if not any(isinstance(v, bool) for v in values):  # index(True) is 1
+            return [index(v) for v in values]
+    except TypeError:  # not iterable, or an entry that is no integer
+        pass
+    raise error(f"{what} must be integers, got {values!r}")
+
+
+def as_count(value: int, what: str, least: int = 0, most: int | None = None) -> int:
+    """A count or order as a Python int, checked before any work: a bool, a non-integer
+    or a value outside least..most (no upper end when most is None) raises BadParamsError."""
+    (value,) = as_ints((value,), BadParamsError, what)
+    if value < least or most is not None and value > most:
+        bound = f"at least {least}" if most is None else f"in {least}..{most}"
+        raise BadParamsError(f"{what} must be {bound}, got {value}")
+    return value
 
 
 def vertices_of(mask: int) -> list[int]:
@@ -119,6 +132,7 @@ class Graph:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; rejects loops and out-of-range labels."""
+    n = as_count(n, "vertex count", most=MAX_VERTICES)
     rows = [0] * n
     for edge in edges:
         try:
@@ -150,6 +164,7 @@ def validate(g: Graph) -> None:
 
 def complete(n: int) -> Graph:
     """K_n.  Raises EmptyGraphError for n < 1."""
+    n = as_count(n, "vertex count", most=MAX_VERTICES)
     if n < 1:
         raise EmptyGraphError("complete graph needs at least one vertex")
     full = (1 << n) - 1
@@ -158,6 +173,7 @@ def complete(n: int) -> Graph:
 
 def edgeless(n: int) -> Graph:
     """n isolated vertices."""
+    n = as_count(n, "vertex count", most=MAX_VERTICES)
     if n < 1:
         raise EmptyGraphError("edgeless graph needs at least one vertex")
     return Graph(n, (0,) * n)
@@ -165,6 +181,7 @@ def edgeless(n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     """C_n for n >= 3."""
+    n = as_count(n, "vertex count", most=MAX_VERTICES)
     if n < 3:
         raise BadParamsError("cycle needs at least 3 vertices")
     return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
@@ -172,6 +189,7 @@ def cycle(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     """P_n."""
+    n = as_count(n, "vertex count", most=MAX_VERTICES)
     if n < 1:
         raise EmptyGraphError("path needs at least one vertex")
     return from_edges(n, [(v, v + 1) for v in range(n - 1)])
@@ -179,6 +197,7 @@ def path(n: int) -> Graph:
 
 def star(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 joined to all others."""
+    n = as_count(n, "vertex count", most=MAX_VERTICES)
     if n < 1:
         raise EmptyGraphError("star needs at least one vertex")
     return from_edges(n, [(0, v) for v in range(1, n)])

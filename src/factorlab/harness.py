@@ -32,7 +32,7 @@ from .factors import (
     search_scan,
 )
 from .families import book_family, clique_join, g_na
-from .graph import Graph, is_connected, iter_bits, mask_of, min_degree, relabel, vertices_of
+from .graph import Graph, as_count, is_connected, iter_bits, mask_of, min_degree, relabel, vertices_of
 from .graph6 import read_graph6, to_graph6
 from .matching import has_perfect_matching
 from .spectral import (
@@ -61,8 +61,7 @@ ORACLE_PAIRS = tuple(ParityParams(a, b) for a, b in ((1, 1), (1, 3), (2, 2), (2,
 
 def bundled_connected_graphs(n: int) -> list[Graph]:
     """The bundled exhaustive corpus: all connected graphs on n <= 8 vertices."""
-    if not 1 <= n <= 8:
-        raise FactorLabError(f"bundled corpora cover n = 1..8, got {n}")
+    n = as_count(n, "bundled corpus order", 1, 8)
     text = resources.files("factorlab").joinpath(f"data/connected_{n}.g6").read_text()
     return read_graph6(text)
 
@@ -258,6 +257,7 @@ def sweep_oracle_equivalence(
     Graphs go in chunks of ``SWEEP_CHUNK``, the unit of a ``jobs > 1`` pool,
     and ``prefetch_criterion`` builds each chunk's criterion tables at once.
     """
+    as_count(jobs, "jobs", 1)
     report = GridReport(
         suite="oracle",
         columns=("graph6", "n", "a", "b", "status", "pass", "criterion", "search", "matching"),
@@ -409,6 +409,7 @@ def survey_theorem(n: int, a: int, b: int, samples: int = 100, seed: int = 0) ->
     theorem's order threshold are reported, never asserted; exceptions are
     stored as findings.
     """
+    as_count(samples, "samples")
     params = ParityParams(a, b)
     params.validate_for(n)
     extremal = g_na(n, a)
@@ -442,6 +443,7 @@ def grid_degree_size_bound(samples: int = 10_000, seed: int = 0) -> GridReport:
         suite="lemma2.2",
         columns=("kind", "n", "m", "delta", "rho", "bound", "margin", "pass"),
     )
+    as_count(samples, "samples")
     for index in range(samples):
         rng = random.Random(f"{seed}:general:{index}")
         n = rng.randrange(8, 33)
@@ -469,6 +471,7 @@ def grid_bound_monotonicity(samples: int = 400, seed: int = 0) -> GridReport:
     report = GridReport(
         suite="lemma2.3", columns=("n", "m", "grid_len", "nonincreasing", "pass")
     )
+    as_count(samples, "samples")
     rng = random.Random(f"{seed}:monotone")
     for _ in range(samples):
         n = rng.randrange(3, 61)
@@ -587,6 +590,7 @@ def grid_parity_evenness(trials: int = 100_000, seed: int = 0) -> GridReport:
     report = GridReport(
         suite="eq1", columns=("block", "trials", "odd_count", "pass")
     )
+    as_count(trials, "trials")
     pairs = [ParityParams(a, b) for a, b in ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5), (2, 6), (4, 6))]
     done = 0
     block_idx = 0

@@ -37,6 +37,7 @@ from .errors import (
     BadRotationError,
     NotAPartitionError,
     NotConvergedError,
+    NotEquitableError,
 )
 from .graph import MAX_VERTICES, Graph, VertexSet, as_ints, components, iter_bits, mask_of, vertices_of
 
@@ -62,14 +63,6 @@ class QuotientMatrix:
     """Equitable quotient: the constant block row sums."""
 
     entries: tuple[tuple[int, ...], ...]
-
-
-@dataclass(frozen=True)
-class NotEquitable:
-    """Witness that a partition is not equitable: the offending pair."""
-
-    vertex: int
-    part: int
 
 
 def adjacency_matrix(g: Graph) -> np.ndarray:
@@ -187,12 +180,13 @@ def f_monotone_check(n: int, m: int, x_grid: list[float]) -> bool:
     return all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
 
 
-def quotient(g: Graph, parts: list[VertexSet]) -> QuotientMatrix | NotEquitable:
-    """Integer quotient matrix of an equitable partition, else the offending pair.
+def quotient(g: Graph, parts: list[VertexSet]) -> QuotientMatrix:
+    """Integer quotient matrix of an equitable partition.
 
     Each part's row is the neighbour counts of its first vertex u; the other
-    vertices are checked in ascending order and the first whose counts differ
-    is the witness.  A twin v of u, with N(v) = N(u) or N[v] = N[u], is not
+    vertices are checked in ascending order, and the first whose counts
+    differ raises ``NotEquitableError`` naming it and the first part where
+    its count differs.  A twin v of u, with N(v) = N(u) or N[v] = N[u], is not
     counted: with no loops and u, v in the same part, |N(v) & P| = |N(u) & P|
     for every part P.  Twins never differ, so skipping them leaves the
     witness that checking every vertex would give.
@@ -223,7 +217,7 @@ def quotient(g: Graph, parts: list[VertexSet]) -> QuotientMatrix | NotEquitable:
             counts = tuple((adj[v] & other).bit_count() for other in masks)
             if counts != row:
                 part = next(j for j in range(len(masks)) if counts[j] != row[j])
-                return NotEquitable(vertex=v, part=part)
+                raise NotEquitableError(v, part)
         entries.append(row)
     return QuotientMatrix(entries=tuple(entries))
 

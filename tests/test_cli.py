@@ -62,9 +62,13 @@ class TestConstruct:
             from_graph6(line)  # parses
 
     def test_missing_param_is_usage_error(self, capsys):
-        code, _, err = run_cli(capsys, ["construct", "g-na", "--n", "12"])
-        assert code == 2
-        assert "--a" in err
+        # refused through main's one error handler, as one "error:" line
+        for argv, missing in ((["construct", "g-na", "--n", "12"], "--a"),
+                              (["construct", "book", "--n", "12", "--b", "3"], "--s"),
+                              (["construct", "book", "--n", "12", "--s", "1"], "--b")):
+            code, out, err = run_cli(capsys, argv)
+            assert code == 2 and out == ""
+            assert err == f"error: construct {argv[1]} requires {missing}\n"
 
     def test_bad_params_reported(self, capsys):
         code, _, err = run_cli(capsys, ["construct", "g-na", "--n", "5", "--a", "2"])
@@ -112,6 +116,15 @@ class TestRho:
         from factorlab import spectral_radius
 
         assert abs(data["rho"] - spectral_radius(from_graph6(g6_line)).rho) <= 1e-8
+
+    def test_quotient_not_equitable_names_vertex_and_part(self, capsys, monkeypatch, tmp_path):
+        # Ch is P_4; in {0, 1} | {2, 3} vertex 1 has a neighbour in part 1 and vertex 0 none
+        blocks_file = tmp_path / "ne.json"
+        blocks_file.write_text('{"blocks": {"x": [0, 1], "y": [2, 3]}}')
+        code, out, err = run_cli(capsys, ["rho", "--quotient", str(blocks_file)], stdin="Ch\n",
+                                 monkeypatch=monkeypatch)
+        assert code == 2 and out == ""
+        assert err == "error: partition not equitable at vertex 1, part 1\n"
 
     @pytest.mark.parametrize(
         "content",

@@ -505,9 +505,10 @@ class TestStackedTables:
         # each (R, T) of _pair_masks reads b|S| - a|T| at cell |S|(n + 1) + |T|, S = V - R - T
         for n in range(9):
             r, t, cell = factors._pair_masks(n)
-            pc = factors._popcounts(n).astype(np.intp)
             assert len(r) == len(t) == len(cell) == 3**n and not (r & t).any()
-            assert np.array_equal(cell, pc[((1 << n) - 1) ^ r ^ t] * (n + 1) + pc[t]), n
+            s = ((1 << n) - 1) ^ r ^ t
+            expected = [x.bit_count() * (n + 1) + y.bit_count() for x, y in zip(s.tolist(), t.tolist())]
+            assert cell.tolist() == expected, n
 
     def test_no_pairs_keep_no_r(self):
         # an order that no pair admits: the empty grid's minimum is n, so a

@@ -34,6 +34,7 @@ from factorlab import (
     join,
     mask_of,
     min_degree,
+    path,
     quotient,
     relabel,
     spectral_radius,
@@ -42,7 +43,7 @@ from factorlab import (
     verify_witness,
     vertices_of,
 )
-from factorlab.graph import Graph, validate
+from factorlab.graph import MAX_VERTICES, Graph, validate
 
 
 def random_graph(n, p, rng):
@@ -263,6 +264,9 @@ class TestIntegerParams:
         [
             pytest.param(lambda: ParityParams(1.5, 3.5), ParityPreconditionError, id="ParityParams"),
             pytest.param(lambda: GFParams((0.5,) * 4, (2.5,) * 4), InvalidGFError, id="GFParams"),
+            pytest.param(lambda: GFParams(0.5, 1), InvalidGFError, id="GFParams-scalars"),
+            pytest.param(lambda: ParityParams(True, 3), ParityPreconditionError, id="ParityParams-bool"),
+            pytest.param(lambda: relabel(complete(2), [True, False]), BadParamsError, id="relabel-bool"),
             pytest.param(lambda: g_na(12.0, 2), BadParamsError, id="g_na"),
             pytest.param(lambda: book_family(20, 2.0, 5), BadParamsError, id="book_family"),
             pytest.param(lambda: clique_join(1, (2.5,)), BadParamsError, id="clique_join"),
@@ -276,6 +280,26 @@ class TestIntegerParams:
         monkeypatch.setattr("factorlab.families.clique_join", lambda *args: pytest.fail("rows were built"))
         with pytest.raises(error):
             call()
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda n: complete(n), id="complete"),
+            pytest.param(lambda n: edgeless(n), id="edgeless"),
+            pytest.param(lambda n: from_edges(n, []), id="from_edges"),
+            pytest.param(lambda n: cycle(n), id="cycle"),
+            pytest.param(lambda n: path(n), id="path"),
+            pytest.param(lambda n: star(n), id="star"),
+        ],
+    )
+    @pytest.mark.parametrize("n", [4.0, 2.5, None, True, -1, MAX_VERTICES + 1],
+                             ids=["float", "fraction", "none", "bool", "negative", "over-limit"])
+    def test_builder_order_is_refused_before_rows(self, monkeypatch, call, n):
+        # each once raised TypeError, was accepted (edgeless(True) gave n=True), or built every row first
+        monkeypatch.setattr("factorlab.graph.Graph", lambda *args: pytest.fail("rows were built"))
+        monkeypatch.setattr("factorlab.graph.from_edges", lambda *args: pytest.fail("an edge list was built"))
+        with pytest.raises(BadParamsError, match="vertex count"):
+            call(n)
 
     def test_numpy_integers_are_accepted(self):
         n, two, four, five = map(np.int64, (80, 2, 4, 5))

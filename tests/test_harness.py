@@ -5,6 +5,7 @@ import random
 import pytest
 
 from factorlab import (
+    BadParamsError,
     CriterionWitness,
     FactorLabError,
     ParityParams,
@@ -59,6 +60,12 @@ class TestBundledCorpora:
     def test_out_of_range(self):
         with pytest.raises(FactorLabError):
             bundled_connected_graphs(9)
+
+    @pytest.mark.parametrize("n", [2.0, True, "2"])
+    def test_non_integer_order_is_refused(self, n):
+        # 2.0 once looked for a file connected_2.0.g6 and raised FileNotFoundError
+        with pytest.raises(FactorLabError, match="bundled corpus order"):
+            bundled_connected_graphs(n)
 
 
 class TestRecognizeGna:
@@ -324,6 +331,32 @@ class TestGrids:
         lines = csv.strip().split("\n")
         assert lines[0] == "a,b,n,eta,q,criterion_no_factor,search_no_factor,pass"
         assert len(lines) == len(report.rows) + 1
+
+    @pytest.mark.parametrize(
+        "call, first_work",
+        [
+            pytest.param(lambda: survey_theorem(12, 2, 4, samples=1.5), "g_na", id="survey-float"),
+            pytest.param(lambda: survey_theorem(12, 2, 4, samples=-1), "g_na", id="survey-negative"),
+            pytest.param(lambda: sweep_oracle_equivalence([complete(4)], harness.ORACLE_PAIRS, jobs=1.5),
+                         "_sweep_chunk", id="sweep-jobs-float"),
+            pytest.param(lambda: sweep_oracle_equivalence([complete(4)], harness.ORACLE_PAIRS, jobs=0),
+                         "_sweep_chunk", id="sweep-jobs-zero"),
+            pytest.param(lambda: grid_bound_monotonicity(samples="x"), "f_monotone_check", id="lemma2.3-str"),
+            pytest.param(lambda: grid_degree_size_bound(samples=2.5), "sample_min_degree", id="lemma2.2-float"),
+            pytest.param(lambda: grid_parity_evenness(trials=None), "eta", id="eq1-none"),
+            pytest.param(lambda: grid_parity_evenness(trials=True), "eta", id="eq1-bool"),
+        ],
+    )
+    def test_bad_count_is_refused_before_any_work(self, monkeypatch, call, first_work):
+        # each once raised TypeError (the survey after building G_{n,a} and its rho) or ran anyway
+        monkeypatch.setattr(harness, first_work, lambda *args, **kwargs: pytest.fail("work started"))
+        with pytest.raises(BadParamsError):
+            call()
+
+    def test_zero_counts_are_empty_runs(self):
+        assert [r.index for r in survey_theorem(12, 2, 4, samples=0).records] == [0]
+        assert grid_bound_monotonicity(samples=0).rows == []
+        assert grid_parity_evenness(trials=0).rows == []
 
     def test_wrong_width_row_raises(self):
         report = GridReport(suite="demo", columns=("n", "pass"))

@@ -2,6 +2,7 @@
 
 import hashlib
 import math
+import pickle
 import random
 import time
 from fractions import Fraction
@@ -14,7 +15,7 @@ from factorlab import (
     BadRotationError,
     NotAPartitionError,
     NotConvergedError,
-    NotEquitable,
+    NotEquitableError,
     book_charpoly,
     book_family,
     complete,
@@ -64,9 +65,17 @@ def quotient_reference(g, masks):
                 row = counts
             elif counts != row:
                 part = next(j for j in range(len(masks)) if counts[j] != row[j])
-                return NotEquitable(vertex=v, part=part)
+                raise NotEquitableError(v, part)
         entries.append(row)
     return QuotientMatrix(entries=tuple(entries))
+
+
+def outcome(quotient_fn, g, masks):
+    """The quotient matrix, or the (vertex, part) of the NotEquitableError raised instead."""
+    try:
+        return quotient_fn(g, masks)
+    except NotEquitableError as exc:
+        return exc.vertex, exc.part
 
 
 def residue_parts(n, m):
@@ -282,14 +291,15 @@ class TestQuotient:
                 parts[rng.randrange(2)] |= 1 << v
             if not parts[0] or not parts[1]:
                 continue
-            result = quotient(g, parts)
-            if isinstance(result, NotEquitable):
+            try:
+                quotient(g, parts)
+            except NotEquitableError as exc:
                 hits += 1
                 # the reported vertex really does break the constant row sum
-                pm = parts[0] if (parts[0] >> result.vertex) & 1 else parts[1]
+                pm = parts[0] if (parts[0] >> exc.vertex) & 1 else parts[1]
                 same_part = [v for v in range(10) if (pm >> v) & 1]
                 counts = {
-                    v: (g.adj[v] & parts[result.part]).bit_count() for v in same_part
+                    v: (g.adj[v] & parts[exc.part]).bit_count() for v in same_part
                 }
                 assert len(set(counts.values())) > 1
         assert hits >= 20  # random 2-partitions are almost never equitable
@@ -326,10 +336,10 @@ class TestQuotient:
             cases.append((cons.graph, cons.parts()))
         kinds = set()
         for g, parts in cases:
-            result = quotient(g, parts)
-            assert result == quotient_reference(g, parts)
+            result = outcome(quotient, g, parts)
+            assert result == outcome(quotient_reference, g, parts)
             kinds.add(type(result))
-        assert kinds == {QuotientMatrix, NotEquitable}
+        assert kinds == {QuotientMatrix, tuple}  # tuple: a (vertex, part) witness
 
     def test_twin_before_differing_vertex(self):
         # part {0, 1, 2}: 1 is a twin of 0 (open, then closed neighbourhoods),
@@ -338,9 +348,9 @@ class TestQuotient:
         closed_twins = from_edges(5, [(0, 1), (0, 3), (1, 3), (2, 3), (2, 4)])
         for g in (open_twins, closed_twins):
             parts = [0b00111, 0b11000]
-            result = quotient(g, parts)
-            assert result == quotient_reference(g, parts)
-            assert result.vertex == 2
+            result = outcome(quotient, g, parts)
+            assert result == outcome(quotient_reference, g, parts)
+            assert result[0] == 2
 
     def test_all_true_twins(self):
         # K_4 joined to 3 isolated vertices: the clique part holds only
@@ -356,8 +366,15 @@ class TestQuotient:
         # (rows need not be symmetric, only loop-free)
         g = Graph(3, [0b100, 0b101, 0b011])
         parts = [0b011, 0b100]
-        result = quotient(g, parts)
-        assert result == quotient_reference(g, parts) == NotEquitable(vertex=1, part=0)
+        assert outcome(quotient, g, parts) == outcome(quotient_reference, g, parts) == (1, 0)
+
+    def test_not_equitable_is_raised_with_its_witness(self):
+        # P_4 split {0, 1} | {2, 3}: vertex 1 has a neighbour in part 1, vertex 0 none
+        with pytest.raises(NotEquitableError, match="at vertex 1, part 1") as caught:
+            quotient_rho(quotient(path(4), [[0, 1], [2, 3]]))
+        assert (caught.value.vertex, caught.value.part) == (1, 1)
+        copy = pickle.loads(pickle.dumps(caught.value))  # crosses a process pool intact
+        assert (copy.vertex, copy.part, str(copy)) == (1, 1, str(caught.value))
 
     def test_not_a_partition(self):
         g = complete(4)
