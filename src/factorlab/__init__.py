@@ -22,7 +22,6 @@ from .factors import (
     GFParams,
     ParityParams,
     Verdict,
-    a_odd_count,
     criterion_scan,
     criterion_witness,
     decide_by_criterion,
@@ -72,7 +71,7 @@ from .harness import (
     survey_theorem,
     sweep_oracle_equivalence,
 )
-from .matching import has_perfect_matching, max_matching_size
+from .matching import has_perfect_matching
 from .spectral import (
     QuotientMatrix,
     SpectralResult,

@@ -163,12 +163,19 @@ SUITES = {
     ),
 }
 
+# suite name -> the options among --samples, --corpus and --jobs that it reads; it refuses the others
+READS = {"oracle": ("corpus", "jobs"), "lemma2.2": ("samples",), "lemma2.3": ("samples",),
+         "eq1": ("samples",), "survey": ("samples",)}
+
 
 def _cmd_verify(args) -> int:
     for name in ("samples", "jobs"):
         value = getattr(args, name)
         if value is not None and value < 1:
             raise BadParamsError(f"--{name} must be at least 1, got {value}")
+    for name, unset in (("samples", None), ("corpus", None), ("jobs", 1)):  # each with its value when not given
+        if getattr(args, name) != unset and name not in READS.get(args.suite, ()):
+            raise BadParamsError(f"suite {args.suite} does not read --{name}")
     # open --out before the run, so an unwritable path fails before minutes of work
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
         report = SUITES[args.suite](args)

@@ -100,10 +100,6 @@ class GFParams:
             if (gv - fv) % 2 != 0:
                 raise InvalidGFError(f"need g(v) == f(v) (mod 2) at v={v}: g={gv}, f={fv}")
 
-    @staticmethod
-    def constant(n: int, a: int, b: int) -> "GFParams":
-        return GFParams((a,) * n, (b,) * n)
-
 
 @dataclass(frozen=True)
 class CriterionWitness:
@@ -153,12 +149,6 @@ def _deficiency(g: Graph, s_mask: int, t_mask: int, lo, hi) -> tuple[int, int, i
     f_s = sum(hi[v] for v in iter_bits(s_mask))
     g_t = sum(lo[v] for v in iter_bits(t_mask))
     return f_s - g_t + deg_sum - q, q, deg_sum
-
-
-def a_odd_count(g: Graph, s: VertexSet, t: VertexSet, a: int) -> int:
-    """Number of components Q of G-S-T with a|V(Q)| + e(Q,T) odd."""
-    s_mask, t_mask = _disjoint_masks(g, s, t)
-    return _deficiency(g, s_mask, t_mask, (a,) * g.n, (a,) * g.n)[1]
 
 
 def criterion_witness(g: Graph, s: VertexSet, t: VertexSet, params: ParityParams) -> CriterionWitness:

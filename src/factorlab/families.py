@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import BadParamsError
-from .graph import MAX_VERTICES, Graph, as_ints
+from .graph import MAX_VERTICES, Graph, as_count, as_ints
 
 
 @dataclass(frozen=True)
@@ -42,10 +42,11 @@ def clique_join(s: int, sizes: tuple[int, ...]) -> list[int]:
     Labels: K_s first, then each clique in order; a size-1 clique is an
     isolated vertex of the union.
     """
-    s, *sizes = as_ints((s, *sizes), BadParamsError, "clique_join's s and sizes")
+    s = as_count(s, "clique_join's s")
+    sizes = as_ints(sizes, BadParamsError, "clique_join's sizes")
     n = s + sum(sizes)
-    if s < 0 or min(sizes, default=1) < 1 or n > MAX_VERTICES:
-        raise BadParamsError(f"clique_join needs s >= 0, sizes >= 1, order <= {MAX_VERTICES}; got s={s}, order {n}")
+    if min(sizes, default=1) < 1 or n > MAX_VERTICES:
+        raise BadParamsError(f"clique_join needs sizes >= 1, order <= {MAX_VERTICES}; got s={s}, order {n}")
     hub = (1 << s) - 1
     rows = [((1 << n) - 1) ^ (1 << v) for v in range(s)]
     for c in sizes:
@@ -62,13 +63,8 @@ def g_na(n: int, a: int) -> LabeledConstruction:
     Labels: small clique 0..a-2, big clique a-1..n-a-3, independent set
     n-a-2..n-2, added vertex n-1.
     """
-    n, a = as_ints((n, a), BadParamsError, "g_na's n and a")
-    if a < 2:
-        raise BadParamsError(f"g_na requires a >= 2, got a={a}")
-    if n < 2 * a + 3:
-        raise BadParamsError(f"g_na requires n >= 2a+3 = {2 * a + 3}, got n={n}")
-    if n > MAX_VERTICES:  # before any row or clique-size tuple is built
-        raise BadParamsError(f"g_na requires n <= {MAX_VERTICES}, got n={n}")
+    a = as_count(a, "g_na's a", 2)
+    n = as_count(n, "g_na's n", 2 * a + 3, MAX_VERTICES)  # before any row or clique-size tuple is built
     rows = clique_join(a - 1, (n - 2 * a - 1,) + (1,) * (a + 1))
     indep = _range_mask(n - a - 2, a + 1)
     w_bit = 1 << (n - 1)
@@ -90,15 +86,9 @@ def book_family(n: int, s: int, b: int) -> LabeledConstruction:
     Labels: small clique 0..s-1, big clique s..n-b-2, independent set
     n-b-1..n-1.  The three blocks form an equitable partition.
     """
-    n, s, b = as_ints((n, s, b), BadParamsError, "book_family's n, s and b")
-    if s < 1:
-        raise BadParamsError(f"book_family requires s >= 1, got s={s}")
-    if b < 1:
-        raise BadParamsError(f"book_family requires b >= 1, got b={b}")
-    if n < b + s + 2:
-        raise BadParamsError(f"book_family requires n >= b+s+2 = {b + s + 2}, got n={n}")
-    if n > MAX_VERTICES:  # before any row or clique-size tuple is built
-        raise BadParamsError(f"book_family requires n <= {MAX_VERTICES}, got n={n}")
+    s = as_count(s, "book_family's s", 1)
+    b = as_count(b, "book_family's b", 1)
+    n = as_count(n, "book_family's n", b + s + 2, MAX_VERTICES)  # before any row or clique-size tuple is built
     graph = Graph(n, clique_join(s, (n - b - s - 1,) + (1,) * (b + 1)))
     blocks = {
         "clique_small": _range_mask(0, s),

@@ -46,18 +46,17 @@ def as_ints(values: Iterable, error: type[FactorLabError], what: str) -> list[in
 def as_count(value: int, what: str, least: int = 0, most: int | None = None) -> int:
     """A count or order as a Python int, checked before any work: a bool, a non-integer
     or a value outside least..most (no upper end when most is None) raises BadParamsError."""
-    (value,) = as_ints((value,), BadParamsError, what)
+    if type(value) is not int:  # type() is exact: a bool or a numpy integer takes the as_ints path
+        (value,) = as_ints((value,), BadParamsError, what)
     if value < least or most is not None and value > most:
         bound = f"at least {least}" if most is None else f"in {least}..{most}"
         raise BadParamsError(f"{what} must be {bound}, got {value}")
     return value
 
 
-def vertices_of(mask: int) -> list[int]:
-    """Sorted vertex labels present in a bitmask; a negative mask raises BadParamsError."""
-    if mask < 0:
-        raise BadParamsError(f"vertex mask {mask} is negative")
-    return list(iter_bits(mask))
+def vertices_of(vertices: VertexSet) -> list[int]:
+    """Sorted vertex labels of a vertex set, read through ``mask_of``."""
+    return list(iter_bits(mask_of(vertices)))
 
 
 def iter_bits(mask: int) -> Iterator[int]:
@@ -181,9 +180,7 @@ def edgeless(n: int) -> Graph:
 
 def cycle(n: int) -> Graph:
     """C_n for n >= 3."""
-    n = as_count(n, "vertex count", most=MAX_VERTICES)
-    if n < 3:
-        raise BadParamsError("cycle needs at least 3 vertices")
+    n = as_count(n, "vertex count", 3, MAX_VERTICES)
     return from_edges(n, [(v, (v + 1) % n) for v in range(n)])
 
 

@@ -12,6 +12,7 @@ which makes reports byte-identical across runs and safe to parallelize.
 
 from __future__ import annotations
 
+import os
 import random
 import warnings
 from collections.abc import Sequence
@@ -19,7 +20,7 @@ from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 from multiprocessing import Pool
 
-from .errors import FactorLabError, SamplerExhaustedError, SizeLimitError
+from .errors import BadParamsError, FactorLabError, SamplerExhaustedError, SizeLimitError
 from .factors import (
     ParityParams,
     Verdict,
@@ -32,7 +33,9 @@ from .factors import (
     search_scan,
 )
 from .families import book_family, clique_join, g_na
-from .graph import Graph, as_count, is_connected, iter_bits, mask_of, min_degree, relabel, vertices_of
+from .graph import (
+    MAX_VERTICES, Graph, as_count, as_ints, is_connected, iter_bits, mask_of, min_degree, relabel, vertices_of,
+)
 from .graph6 import read_graph6, to_graph6
 from .matching import has_perfect_matching
 from .spectral import (
@@ -81,6 +84,8 @@ def _sample_gnp(n: int, min_deg: int, rng: random.Random, connected: bool) -> Gr
     """The rejection loop of both G(n,p) samplers: try i draws at p = P_GRID[i % 8],
     400 tries.  Neither public sampler calls the other, so a wrapper around one
     name sees each draw once."""
+    n = as_count(n, "sampled order", 1, MAX_VERTICES)  # before any of the n^2 pair draws
+    (min_deg,) = as_ints((min_deg,), BadParamsError, "min_deg")
     for attempt in range(400):
         g = _gnp(n, P_GRID[attempt % len(P_GRID)], rng)
         if min_degree(g) >= min_deg and (not connected or is_connected(g)):
@@ -102,6 +107,8 @@ def sample_min_degree(n: int, min_deg: int, rng: random.Random) -> Graph:
 def sample_regular(n: int, d: int, rng: random.Random) -> Graph:
     """Random d-regular simple graph: draw suitable stub pairs, restart when
     the residual degrees dead-end, and give up after 200 tries."""
+    n = as_count(n, "regular order", most=MAX_VERTICES)
+    (d,) = as_ints((d,), BadParamsError, "regular degree")
     if d >= n or (n * d) % 2 != 0 or d < 1:
         raise SamplerExhaustedError(f"no d-regular graph for n={n}, d={d}")
     for _ in range(200):
@@ -188,6 +195,7 @@ def recognize_gna(g: Graph, a: int) -> dict[str, int] | None:
     g; each block is a set of twins there, so the order inside is free.
     """
     n = g.n
+    (a,) = as_ints((a,), BadParamsError, "recognize_gna's a")
     if a < 2 or n < 2 * a + 3:
         return None
     degs = g.degrees()
@@ -254,8 +262,9 @@ def sweep_oracle_equivalence(
 
     The ``pass`` column records per-row agreement; parameter pairs invalid
     for a graph's order are recorded as skipped rows that pass vacuously.
-    Graphs go in chunks of ``SWEEP_CHUNK``, the unit of a ``jobs > 1`` pool,
-    and ``prefetch_criterion`` builds each chunk's criterion tables at once.
+    Graphs go in chunks of ``SWEEP_CHUNK``, and ``prefetch_criterion`` builds
+    each chunk's criterion tables at once.  A pool of min(jobs, chunks, CPUs)
+    workers maps the chunks when that is more than one; else they run here.
     """
     as_count(jobs, "jobs", 1)
     report = GridReport(
@@ -263,8 +272,9 @@ def sweep_oracle_equivalence(
         columns=("graph6", "n", "a", "b", "status", "pass", "criterion", "search", "matching"),
     )
     items = [(graphs[i : i + SWEEP_CHUNK], params_list, matching_check) for i in range(0, len(graphs), SWEEP_CHUNK)]
-    if jobs > 1:
-        with Pool(jobs) as pool:
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with Pool(workers) as pool:
             chunks = pool.map(_sweep_chunk, items)
     else:
         chunks = [_sweep_chunk(item) for item in items]
@@ -411,8 +421,8 @@ def survey_theorem(n: int, a: int, b: int, samples: int = 100, seed: int = 0) ->
     """
     as_count(samples, "samples")
     params = ParityParams(a, b)
-    params.validate_for(n)
     extremal = g_na(n, a)
+    params.validate_for(n)
     rho_extremal = spectral_radius(extremal.graph).rho
     records = [_survey_record(0, extremal.graph, params, rho_extremal)]
     for index in range(1, samples + 1):

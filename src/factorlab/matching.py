@@ -106,11 +106,5 @@ def _mark_path(mate, parent, base, blossom: set, v: int, top: int, child: int) -
         v = parent[mate[v]]
 
 
-def max_matching_size(g: Graph) -> int:
-    """Size of a maximum matching."""
-    mate = max_matching([vertices_of(row) for row in g.adj])
-    return sum(1 for u in mate if u >= 0) // 2
-
-
 def has_perfect_matching(g: Graph) -> bool:
-    return g.n % 2 == 0 and max_matching_size(g) == g.n // 2
+    return g.n % 2 == 0 and -1 not in max_matching([vertices_of(row) for row in g.adj])

@@ -27,7 +27,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import sqrt, ulp
-from numbers import Integral, Real
+from numbers import Real
 from operator import mul
 
 import numpy as np
@@ -39,7 +39,7 @@ from .errors import (
     NotConvergedError,
     NotEquitableError,
 )
-from .graph import MAX_VERTICES, Graph, VertexSet, as_ints, components, iter_bits, mask_of, vertices_of
+from .graph import MAX_VERTICES, Graph, VertexSet, as_count, as_ints, components, iter_bits, mask_of, vertices_of
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
@@ -126,8 +126,7 @@ def spectral_radius(
     """
     if g.n == 0:
         raise BadParamsError("spectral radius of the empty graph is undefined")
-    if not isinstance(max_iter, Integral) or max_iter < 0:
-        raise BadParamsError(f"max_iter must be an integer at least 0, got {max_iter!r}")
+    max_iter = as_count(max_iter, "max_iter")
     if not (isinstance(tol, Real) and tol >= 0):  # also rejects NaN, which no residual can meet
         raise BadParamsError(f"tol must be a number at least 0, got {tol!r}")
     a = adjacency_matrix(g)
@@ -151,10 +150,9 @@ def spectral_radius(
 
 def hong_nikiforov_bound(n: int, m: int, delta: int) -> float:
     """Degree/size upper bound (delta-1)/2 + sqrt(2m - n*delta + (delta+1)^2/4)."""
-    if delta < 1:
-        raise BadParamsError(f"bound needs minimum degree >= 1, got {delta}")
-    if not n * delta <= 2 * m <= n * (n - 1):
-        raise BadParamsError(f"inconsistent (n={n}, m={m}, delta={delta})")
+    n = as_count(n, "hong_nikiforov_bound's n", 1)
+    delta = as_count(delta, "hong_nikiforov_bound's delta", 1)
+    m = as_count(m, "hong_nikiforov_bound's m", -(-n * delta // 2), n * (n - 1) // 2)  # n delta <= 2m <= n(n-1)
     return degree_size_curve(n, m, delta)
 
 
@@ -176,6 +174,7 @@ def f_monotone_check(n: int, m: int, x_grid: list[float]) -> bool:
     Grid points where the radicand goes negative (possible for sparse graphs
     at large x) are outside the curve's domain and are skipped.
     """
+    n, m = as_ints((n, m), BadParamsError, "f_monotone_check's n and m")
     values = [degree_size_curve(n, m, x) for x in x_grid if _radicand(n, m, x) >= 0.0]
     return all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
 
@@ -306,6 +305,7 @@ def book_charpoly(n: int, s: int, b: int) -> tuple[tuple[int, int, int, int], in
     Returns the coefficients (1, c2, c1, c0) and the cubic's exact values at
     n-b-1 and n-b-2, the two evaluation points the spectral bound argument needs.
     """
+    n, s, b = as_ints((n, s, b), BadParamsError, "book_charpoly's n, s and b")
     c2 = -(n - b - 3)
     c1 = -(n + b * s + s - b - 2)
     c0 = -b * b * s + b * n * s - b * s * s - 3 * b * s + n * s - s * s - 2 * s

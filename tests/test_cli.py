@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from factorlab import ParityParams, bundled_connected_graphs, cli, from_graph6, g_na, to_graph6
+from factorlab import ParityParams, bundled_connected_graphs, cli, from_graph6, g_na, harness, to_graph6
 from factorlab.cli import main
 
 
@@ -474,6 +474,32 @@ class TestVerify:
         run_cli(capsys, argv + ["--out", str(f2)], stdin=None)
         assert "seed=77" in f1.read_text()
         assert f1.read_bytes() == f2.read_bytes()
+
+    @pytest.mark.parametrize(
+        "suite, extra",
+        [
+            ("lemma2.8", ["--samples", "5", "--corpus", "/no/such/file", "--jobs", "3"]),
+            ("oracle", ["--samples", "5"]),
+            ("lemma2.6", ["--samples", "5"]),
+            ("lemma2.7", ["--samples", "5"]),
+            ("lemma2.8", ["--samples", "5"]),
+            ("lemma2.2", ["--corpus", "c.g6"]),
+            ("eq1", ["--jobs", "2"]),
+            ("survey", ["--corpus", "c.g6", "--jobs", "3"]),
+        ],
+    )
+    def test_option_the_suite_ignores_is_refused(self, capsys, monkeypatch, suite, extra):
+        # each once ran the suite with exit 0 and dropped the option silently
+        monkeypatch.setitem(cli.SUITES, suite, lambda args: pytest.fail("the suite ran"))
+        code, err = run_exit(capsys, ["verify", "--suite", suite, *extra])
+        assert code == 2
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1 and suite in err
+
+    def test_jobs_1_and_the_defaulted_options_are_accepted_by_every_suite(self, capsys, monkeypatch):
+        for suite in cli.SUITES:
+            monkeypatch.setitem(cli.SUITES, suite, lambda args: harness.GridReport("stub", ("pass",)))
+            argv = ["verify", "--suite", suite, "--jobs", "1", "--seed", "3", "--n", "12", "--a", "2", "--b", "4"]
+            assert run_exit(capsys, argv) == (0, f"suite {suite}: ok\n")
 
 
 # sha256 of `verify` stdout (report plus summary line), one per suite run.

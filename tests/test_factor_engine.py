@@ -20,7 +20,6 @@ from factorlab import (
     ParityParams,
     SizeLimitError,
     Verdict,
-    a_odd_count,
     bundled_connected_graphs,
     complete,
     components,
@@ -38,7 +37,6 @@ from factorlab import (
     g_na,
     has_perfect_matching,
     mask_of,
-    max_matching_size,
     path,
     sample_connected_min_degree,
     search_scan,
@@ -143,27 +141,28 @@ def random_disjoint_sets(n, rng):
 
 
 class TestAOddCount:
+    # q, the number of components Q of G-S-T with a|V(Q)| + e(Q,T) odd, depends on a alone
     def test_gna_indep_block(self):
         for n, a in [(12, 2), (13, 3), (16, 4)]:
             cons = g_na(n, a)
             if (n * a) % 2:
                 continue
-            assert a_odd_count(cons.graph, 0, cons.blocks["indep"], a) == 2
+            assert criterion_witness(cons.graph, 0, cons.blocks["indep"], ParityParams(a, a)).q == 2
 
     def test_even_a_empty_sets(self):
         g = cycle(7)
-        assert a_odd_count(g, 0, 0, 2) == 0
+        assert criterion_witness(g, 0, 0, ParityParams(2, 2)).q == 0
 
     def test_matches_naive_recount(self):
         rng = random.Random(42)
         for _ in range(200):
             g = random_graph(10, 0.3, rng)
             s, t = random_disjoint_sets(10, rng)
-            assert a_odd_count(g, s, t, 3) == naive_a_odd(g, s, t, 3)
+            assert criterion_witness(g, s, t, ParityParams(3, 3)).q == naive_a_odd(g, s, t, 3)
 
     def test_disjointness_enforced(self):
         with pytest.raises(NonDisjointError):
-            a_odd_count(complete(4), {0}, {0, 1}, 2)
+            criterion_witness(complete(4), {0}, {0, 1}, ParityParams(2, 2))
 
 
 class TestEta:
@@ -284,11 +283,11 @@ class TestEtaGF:
                 continue
             a, b = rng.choice(valid)
             s, t = random_disjoint_sets(n, rng)
-            assert eta_gf(g, s, t, GFParams.constant(n, a, b)) == eta(g, s, t, ParityParams(a, b))
+            assert eta_gf(g, s, t, GFParams((a,) * n, (b,) * n)) == eta(g, s, t, ParityParams(a, b))
 
     def test_k2_unit_window(self):
         g = complete(2)
-        assert eta_gf(g, 0, 0, GFParams.constant(2, 1, 1)) == 0
+        assert eta_gf(g, 0, 0, GFParams((1, 1), (1, 1))) == 0
 
     def test_invalid_gf(self):
         with pytest.raises(InvalidGFError):
@@ -296,7 +295,7 @@ class TestEtaGF:
         with pytest.raises(InvalidGFError):
             GFParams((3,), (1,))  # g > f
         with pytest.raises(InvalidGFError):
-            eta_gf(complete(3), 0, 0, GFParams.constant(2, 1, 1))  # wrong length
+            eta_gf(complete(3), 0, 0, GFParams((1, 1), (1, 1)))  # wrong length
 
     def test_nonconstant_window(self):
         # hub may take degree 1 or 3; leaves are forced to 1: the star on 4
@@ -337,7 +336,7 @@ class TestDecideByCriterion:
             assert w.eta <= -2
             # recompute every field from the masks
             assert eta(g, w.s_set, w.t_set, ParityParams(a, b)) == w.eta
-            assert a_odd_count(g, w.s_set, w.t_set, a) == w.q
+            assert naive_a_odd(g, vertices_of(w.s_set), vertices_of(w.t_set), a) == w.q
             assert (
                 b * w.s_set.bit_count() - a * w.t_set.bit_count() + w.deg_sum - w.q == w.eta
             )
@@ -498,6 +497,15 @@ class TestDecideByCriterion:
                     break
             verdict = decide_by_criterion(g, ParityParams(a, b))
             assert verdict.exists == (not violated)
+
+
+def test_violating_t_takes_the_empty_t():
+    # R = V of K_3 + K_3 at (1,1): W and T are empty, and the two odd components give
+    # eta(0, 0) = -2, which no corpus graph reaches as its first violation
+    g = disjoint_union(complete(3), complete(3))
+    t_mask = factors._violating_t(g.adj, xs=[], vs=[], ps=[], orsuf=[0], suffmin=[0], acc0=0, par0=0b11)
+    assert t_mask == 0
+    assert criterion_witness(g, 0, t_mask, ParityParams(1, 1)).eta == -2
 
 
 class TestStackedTables:
@@ -779,6 +787,19 @@ class TestVerifyCertificate:
         cert = FactorCertificate(edges=((0, 3), (1, 2)), degrees=(1, 1, 1, 1))
         assert not verify_certificate(g, cert, ParityParams(1, 1))
 
+    def test_repeated_edge_rejected(self):
+        # (1, 0) repeats (0, 1): the degrees match, but an edge is counted twice
+        g = path(2)
+        cert = FactorCertificate(edges=((0, 1), (1, 0)), degrees=(2, 2))
+        assert not verify_certificate(g, cert, ParityParams(2, 2))
+
+    def test_wrong_parity_rejected(self):
+        # C_4 is a [1,3]-factor of itself, but its degrees 2 are not odd
+        g = cycle(4)
+        cert = FactorCertificate(edges=tuple(g.edges()), degrees=(2, 2, 2, 2))
+        assert verify_certificate(g, cert, ParityParams(1, 3), parity=False)
+        assert not verify_certificate(g, cert, ParityParams(1, 3))
+
     def test_wrong_degree_table_rejected(self):
         g = cycle(4)
         cert = FactorCertificate(edges=tuple(g.edges()), degrees=(2, 2, 2, 4))
@@ -794,12 +815,17 @@ class TestVerifyCertificate:
                     assert verify_certificate(g, v.certificate, ParityParams(a, b))
 
 
+def matching_size(g):
+    mate = max_matching([vertices_of(row) for row in g.adj])
+    return sum(u >= 0 for u in mate) // 2
+
+
 class TestMatchingOracle:
     def test_known_values(self):
-        assert max_matching_size(complete(4)) == 2
-        assert max_matching_size(path(5)) == 2
-        assert max_matching_size(cycle(7)) == 3
-        assert max_matching_size(star(6)) == 1
+        assert matching_size(complete(4)) == 2
+        assert matching_size(path(5)) == 2
+        assert matching_size(cycle(7)) == 3
+        assert matching_size(star(6)) == 1
 
     def test_blossom_shape(self):
         # two triangles joined by a bridge: perfect matching exists
@@ -809,7 +835,7 @@ class TestMatchingOracle:
     def test_odd_cycle_with_pendant(self):
         # C_5 plus a pendant at 0: maximum matching 3 on 6 vertices
         g = from_edges(6, [(0, 1), (1, 2), (2, 3), (3, 4), (0, 4), (0, 5)])
-        assert max_matching_size(g) == 3
+        assert matching_size(g) == 3
         assert has_perfect_matching(g)
 
     @pytest.mark.skipif(nx is None, reason="networkx unavailable")
@@ -826,7 +852,8 @@ class TestMatchingOracle:
             ref.add_nodes_from(range(g.n))
             ref.add_edges_from(g.edges())
             expected = len(nx.max_weight_matching(ref, maxcardinality=True))
-            assert sum(u >= 0 for u in mate) // 2 == expected == max_matching_size(g)
+            assert sum(u >= 0 for u in mate) // 2 == expected
+            assert has_perfect_matching(g) == (2 * expected == g.n)
 
 
 class TestDecideByMatching:

@@ -16,6 +16,7 @@ from factorlab import (
     NonDisjointError,
     ParityParams,
     ParityPreconditionError,
+    book_charpoly,
     book_family,
     clique_join,
     complement,
@@ -28,14 +29,17 @@ from factorlab import (
     edge_rotation,
     edges_between,
     eta,
+    f_monotone_check,
     from_edges,
     g_na,
+    hong_nikiforov_bound,
     is_connected,
     join,
     mask_of,
     min_degree,
     path,
     quotient,
+    recognize_gna,
     relabel,
     spectral_radius,
     star,
@@ -273,6 +277,12 @@ class TestIntegerParams:
             pytest.param(lambda: survey_theorem(12.0, 2, 4, samples=1), BadParamsError, id="survey_theorem"),
             pytest.param(lambda: spectral_radius(complete(4), tol="x"), BadParamsError, id="spectral_radius-tol"),
             pytest.param(lambda: spectral_radius(complete(4), max_iter=1.5), BadParamsError, id="spectral_radius-max_iter"),
+            pytest.param(lambda: survey_theorem(None, 2, 4, samples=1), BadParamsError, id="survey_theorem-none"),
+            pytest.param(lambda: f_monotone_check(None, 30, [0.0, 1.0]), BadParamsError, id="f_monotone_check-none"),
+            pytest.param(lambda: book_charpoly(20.5, 2, 5), BadParamsError, id="book_charpoly-fraction"),
+            pytest.param(lambda: recognize_gna(complete(7), None), BadParamsError, id="recognize_gna-none"),
+            pytest.param(lambda: hong_nikiforov_bound(12, 30, None), BadParamsError, id="hong_nikiforov_bound-none"),
+            pytest.param(lambda: vertices_of(4.0), BadParamsError, id="vertices_of-float"),
         ],
     )
     def test_non_integer_is_refused(self, monkeypatch, call, error):
@@ -322,6 +332,21 @@ class TestGraphType:
     def test_rejects_out_of_range(self):
         with pytest.raises(BadParamsError):
             Graph(2, (0b100, 0))
+
+    def test_rejects_bad_order_and_row_count(self):
+        for n, rows in [(-1, ()), (MAX_VERTICES + 1, ()), (2, (0,)), (1, (0, 0))]:
+            with pytest.raises(BadParamsError):
+                Graph(n, rows)
+
+    def test_from_edges_rejects_label_outside_order(self):
+        for edge in [(0, 3), (-1, 2)]:
+            with pytest.raises(BadParamsError, match="outside 0..2"):
+                from_edges(3, [edge])
+
+    def test_cycle_needs_three_vertices(self):
+        for n in (0, 1, 2):
+            with pytest.raises(BadParamsError, match="vertex count"):
+                cycle(n)
 
     def test_from_edges_rejects_loop(self):
         with pytest.raises(BadParamsError):

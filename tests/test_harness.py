@@ -1,5 +1,6 @@
 """Verification harness: corpora, recognizer, sweeps, survey, grids."""
 
+import os
 import random
 
 import pytest
@@ -35,7 +36,8 @@ from factorlab import (
 )
 from factorlab import factors, harness
 from factorlab.factors import Verdict
-from factorlab.harness import GridReport, sample_regular
+from factorlab.graph import MAX_VERTICES
+from factorlab.harness import GridReport, sample_min_degree, sample_regular
 
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112, 7: 853, 8: 11117}
 
@@ -135,6 +137,7 @@ class TestRecognizeGna:
         from factorlab import cycle
 
         assert recognize_gna(cycle(12), 2) is None
+        assert recognize_gna(g_na(15, 3).graph, 1) is None  # a < 2: no such family, not an error
 
 
 class TestOracleSweep:
@@ -203,8 +206,33 @@ class TestOracleSweep:
             assert sorted(built) == sorted(sweep * [g.adj for g in graphs])
             assert max(stacks) > 1
 
+    @pytest.mark.parametrize("jobs, chunks, workers", [(10**9, 5, 3), (2, 5, 2), (10**9, 2, 2), (4, 1, None)])
+    def test_workers_are_bounded_by_jobs_chunks_and_cores(self, monkeypatch, jobs, chunks, workers):
+        # at most one worker per chunk and per core; a single worker runs in this process
+        started = []
+
+        class SpyPool:
+            def __init__(self, processes):
+                started.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [[] for _ in items]
+
+        monkeypatch.setattr(harness, "Pool", SpyPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 3)
+        graphs = [complete(4)] * (harness.SWEEP_CHUNK * (chunks - 1) + 1)
+        report = sweep_oracle_equivalence(graphs, [ParityParams(2, 2)], jobs=jobs)
+        assert started == ([] if workers is None else [workers])
+        assert len(report.rows) == (len(graphs) if workers is None else 0)
+
     def test_parallel_matches_serial(self):
-        graphs = bundled_connected_graphs(6)[:40]
+        graphs = bundled_connected_graphs(6)[:100]  # two chunks, so two workers start
         pairs = [ParityParams(2, 2), ParityParams(1, 3)]
         serial = sweep_oracle_equivalence(graphs, pairs, jobs=1)
         parallel = sweep_oracle_equivalence(graphs, pairs, jobs=2)
@@ -232,8 +260,33 @@ class TestSampler:
         for n, d in [(8, 3), (11, 4), (14, 5)]:
             g = sample_regular(n, d, rng)
             assert g.degrees() == [d] * n
-        with pytest.raises(SamplerExhaustedError):
-            sample_regular(5, 3, rng)  # n*d odd
+        for n, d in [(5, 3), (4, 4), (6, 0)]:  # n*d odd, d >= n, d < 1
+            with pytest.raises(SamplerExhaustedError):
+                sample_regular(n, d, rng)
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            pytest.param(lambda rng: sample_connected_min_degree(4.0, 2, rng), id="float"),
+            pytest.param(lambda rng: sample_connected_min_degree(2.5, 2, rng), id="fraction"),
+            pytest.param(lambda rng: sample_connected_min_degree(None, 2, rng), id="none"),
+            pytest.param(lambda rng: sample_connected_min_degree("3", 2, rng), id="str"),
+            pytest.param(lambda rng: sample_connected_min_degree(10**9, 2, rng), id="huge"),
+            pytest.param(lambda rng: sample_min_degree(MAX_VERTICES + 1, 1, rng), id="over-limit"),
+            pytest.param(lambda rng: sample_min_degree(0, 1, rng), id="empty"),
+            pytest.param(lambda rng: sample_min_degree(12, 2.5, rng), id="min_deg-fraction"),
+            pytest.param(lambda rng: sample_min_degree(12, None, rng), id="min_deg-none"),
+            pytest.param(lambda rng: sample_regular(12, 3.0, rng), id="regular-float-degree"),
+            pytest.param(lambda rng: sample_regular(12.0, 3, rng), id="regular-float-order"),
+            pytest.param(lambda rng: sample_regular(10**9, 2, rng), id="regular-huge"),
+        ],
+    )
+    def test_bad_order_or_degree_is_refused_before_any_draw(self, monkeypatch, call):
+        # each once raised TypeError, drew all n^2 pairs before Graph refused the order,
+        # or asked for an n-entry list
+        monkeypatch.setattr(harness, "_gnp", lambda *args: pytest.fail("a graph was drawn"))
+        with pytest.raises(BadParamsError):
+            call(random.Random(0))
 
 
 class TestSurvey:

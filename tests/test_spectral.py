@@ -393,6 +393,12 @@ class TestQuotientRho:
         assert isinstance(qm, QuotientMatrix)
         assert quotient_rho(qm) == 11.0
 
+    def test_more_than_eight_parts_take_the_lapack_root(self):
+        # P_10 in singletons: a 10 x 10 quotient, past the exact charpoly bisection
+        g = path(10)
+        rho = quotient_rho(quotient(g, [1 << v for v in range(10)]))
+        assert abs(rho - 2 * math.cos(math.pi / 11)) <= 1e-12
+
     def test_book_matches_full_graph(self):
         for n, s, b in [(20, 1, 4), (30, 3, 6), (60, 5, 9), (200, 2, 4)]:
             cons = book_family(n, s, b)
