@@ -149,23 +149,21 @@ def _count(args, keyword: str) -> dict:
     return {} if args.samples is None else {keyword: args.samples}
 
 
-# suite name -> runner of the parsed arguments; the fixed grids take no seed
+# suite name -> (runner of the parsed arguments, the options among --samples,
+# --corpus and --jobs that it reads; it refuses the others); the fixed grids take no seed
 SUITES = {
-    "oracle": _oracle,
-    "lemma2.2": lambda args: harness.grid_degree_size_bound(seed=args.seed, **_count(args, "samples")),
-    "lemma2.3": lambda args: harness.grid_bound_monotonicity(seed=args.seed, **_count(args, "samples")),
-    "lemma2.6": lambda args: harness.grid_clique_merge_dominance(),
-    "lemma2.7": lambda args: harness.grid_book_spectral_bound(),
-    "lemma2.8": lambda args: harness.grid_gna_no_factor(),
-    "eq1": lambda args: harness.grid_parity_evenness(seed=args.seed, **_count(args, "trials")),
-    "survey": lambda args: harness.survey_theorem(
-        args.n, args.a, args.b, seed=args.seed, **_count(args, "samples")
+    "oracle": (_oracle, ("corpus", "jobs")),
+    "lemma2.2": (lambda args: harness.grid_degree_size_bound(seed=args.seed, **_count(args, "samples")), ("samples",)),
+    "lemma2.3": (lambda args: harness.grid_bound_monotonicity(seed=args.seed, **_count(args, "samples")), ("samples",)),
+    "lemma2.6": (lambda args: harness.grid_clique_merge_dominance(), ()),
+    "lemma2.7": (lambda args: harness.grid_book_spectral_bound(), ()),
+    "lemma2.8": (lambda args: harness.grid_gna_no_factor(), ()),
+    "eq1": (lambda args: harness.grid_parity_evenness(seed=args.seed, **_count(args, "trials")), ("samples",)),
+    "survey": (
+        lambda args: harness.survey_theorem(args.n, args.a, args.b, seed=args.seed, **_count(args, "samples")),
+        ("samples",),
     ),
 }
-
-# suite name -> the options among --samples, --corpus and --jobs that it reads; it refuses the others
-READS = {"oracle": ("corpus", "jobs"), "lemma2.2": ("samples",), "lemma2.3": ("samples",),
-         "eq1": ("samples",), "survey": ("samples",)}
 
 
 def _cmd_verify(args) -> int:
@@ -173,12 +171,13 @@ def _cmd_verify(args) -> int:
         value = getattr(args, name)
         if value is not None and value < 1:
             raise BadParamsError(f"--{name} must be at least 1, got {value}")
+    runner, reads = SUITES[args.suite]
     for name, unset in (("samples", None), ("corpus", None), ("jobs", 1)):  # each with its value when not given
-        if getattr(args, name) != unset and name not in READS.get(args.suite, ()):
+        if getattr(args, name) != unset and name not in reads:
             raise BadParamsError(f"suite {args.suite} does not read --{name}")
     # open --out before the run, so an unwritable path fails before minutes of work
     with open(args.out, "w", encoding="utf-8") if args.out else nullcontext(sys.stdout) as fh:
-        report = SUITES[args.suite](args)
+        report = runner(args)
         fh.write(report.to_csv())
     if args.out:
         print(f"report written to {args.out}", file=sys.stderr)

@@ -46,8 +46,7 @@ def as_ints(values: Iterable, error: type[FactorLabError], what: str) -> list[in
 def as_count(value: int, what: str, least: int = 0, most: int | None = None) -> int:
     """A count or order as a Python int, checked before any work: a bool, a non-integer
     or a value outside least..most (no upper end when most is None) raises BadParamsError."""
-    if type(value) is not int:  # type() is exact: a bool or a numpy integer takes the as_ints path
-        (value,) = as_ints((value,), BadParamsError, what)
+    (value,) = as_ints((value,), BadParamsError, what)
     if value < least or most is not None and value > most:
         bound = f"at least {least}" if most is None else f"in {least}..{most}"
         raise BadParamsError(f"{what} must be {bound}, got {value}")

@@ -151,7 +151,7 @@ def spectral_radius(
 def hong_nikiforov_bound(n: int, m: int, delta: int) -> float:
     """Degree/size upper bound (delta-1)/2 + sqrt(2m - n*delta + (delta+1)^2/4)."""
     n = as_count(n, "hong_nikiforov_bound's n", 1)
-    delta = as_count(delta, "hong_nikiforov_bound's delta", 1)
+    delta = as_count(delta, "hong_nikiforov_bound's delta", 1, n - 1)
     m = as_count(m, "hong_nikiforov_bound's m", -(-n * delta // 2), n * (n - 1) // 2)  # n delta <= 2m <= n(n-1)
     return degree_size_curve(n, m, delta)
 

@@ -358,7 +358,7 @@ def test_unwritable_out_fails_before_the_run(capsys, monkeypatch, tmp_path):
     def runner(args):
         pytest.fail("the suite ran before --out was opened")
 
-    monkeypatch.setitem(cli.SUITES, "lemma2.7", runner)
+    monkeypatch.setitem(cli.SUITES, "lemma2.7", (runner, ()))
     code, err = run_exit(capsys, ["verify", "--suite", "lemma2.7", "--out", str(tmp_path / "no" / "r.csv")])
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
@@ -490,14 +490,17 @@ class TestVerify:
     )
     def test_option_the_suite_ignores_is_refused(self, capsys, monkeypatch, suite, extra):
         # each once ran the suite with exit 0 and dropped the option silently
-        monkeypatch.setitem(cli.SUITES, suite, lambda args: pytest.fail("the suite ran"))
+        monkeypatch.setitem(cli.SUITES, suite, (lambda args: pytest.fail("the suite ran"), cli.SUITES[suite][1]))
         code, err = run_exit(capsys, ["verify", "--suite", suite, *extra])
         assert code == 2
         assert err.startswith("error: ") and len(err.strip().splitlines()) == 1 and suite in err
 
     def test_jobs_1_and_the_defaulted_options_are_accepted_by_every_suite(self, capsys, monkeypatch):
+        def stub(args):
+            return harness.GridReport("stub", ("pass",))
+
         for suite in cli.SUITES:
-            monkeypatch.setitem(cli.SUITES, suite, lambda args: harness.GridReport("stub", ("pass",)))
+            monkeypatch.setitem(cli.SUITES, suite, (stub, cli.SUITES[suite][1]))
             argv = ["verify", "--suite", suite, "--jobs", "1", "--seed", "3", "--n", "12", "--a", "2", "--b", "4"]
             assert run_exit(capsys, argv) == (0, f"suite {suite}: ok\n")
 

@@ -231,11 +231,21 @@ class TestOracleSweep:
         assert started == ([] if workers is None else [workers])
         assert len(report.rows) == (len(graphs) if workers is None else 0)
 
-    def test_parallel_matches_serial(self):
+    def test_parallel_matches_serial(self, monkeypatch):
         graphs = bundled_connected_graphs(6)[:100]  # two chunks, so two workers start
         pairs = [ParityParams(2, 2), ParityParams(1, 3)]
         serial = sweep_oracle_equivalence(graphs, pairs, jobs=1)
+        started = []
+        real_pool = harness.Pool
+
+        def recording_pool(processes):
+            started.append(processes)
+            return real_pool(processes)
+
+        monkeypatch.setattr(harness, "Pool", recording_pool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)  # two real workers, whatever the host's core count
         parallel = sweep_oracle_equivalence(graphs, pairs, jobs=2)
+        assert started == [2]
         assert serial.rows == parallel.rows
 
 

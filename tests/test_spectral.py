@@ -232,6 +232,8 @@ class TestHongNikiforovBound:
             hong_nikiforov_bound(10, 45, 0)
         with pytest.raises(BadParamsError):
             hong_nikiforov_bound(10, 2, 3)  # 2m < n*delta
+        with pytest.raises(BadParamsError, match="delta must be in 1..3, got 1000000000"):
+            hong_nikiforov_bound(4, 6, 10**9)  # the refusal names delta, not m
 
 
 class TestMonotoneCurve:
