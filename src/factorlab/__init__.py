@@ -3,13 +3,8 @@ spectral-radius verification at desk scale."""
 
 from .errors import (
     BadParamsError,
-    BadRotationError,
-    EmptyGraphError,
     FactorLabError,
     Graph6Error,
-    InvalidGFError,
-    NonDisjointError,
-    NotAPartitionError,
     NotConvergedError,
     NotEquitableError,
     ParityPreconditionError,

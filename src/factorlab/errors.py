@@ -1,28 +1,30 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+An argument that a function refuses raises ``BadParamsError``, whatever the
+argument is: an order, a vertex set, a partition, a degree window.  A
+subclass of ``FactorLabError`` needs a caller that catches it by name or
+data that it carries:
+
+- ``ParityPreconditionError``: the CLI's ``skipped_parity`` line;
+- ``SizeLimitError``: the CLI's ``size_limit`` line, the survey's g_na
+  fallback and the benchmark's span counter;
+- ``Graph6Error``: the CLI's ``input error:`` line;
+- ``NotEquitableError``: carries ``vertex`` and ``part``;
+- ``NotConvergedError`` and ``SamplerExhaustedError``: a computation that
+  did not finish, not a refused argument (the benchmark counts the latter).
+"""
 
 
 class FactorLabError(Exception):
     """Base class for all package errors."""
 
 
-class EmptyGraphError(FactorLabError):
-    """An operation requires at least one vertex."""
-
-
-class NonDisjointError(FactorLabError):
-    """Two vertex sets that must be disjoint overlap."""
-
-
 class BadParamsError(FactorLabError):
-    """Construction or bound parameters are out of range."""
+    """A refused argument: out of range, not an integer, or breaking a stated condition such as disjoint S and T."""
 
 
 class ParityPreconditionError(FactorLabError):
-    """(a, b, n) violate a <= b, a == b (mod 2), or n*a even."""
-
-
-class InvalidGFError(FactorLabError):
-    """Per-vertex degree bounds (g, f) are malformed."""
+    """(a, b, n) violate 1 <= a <= b, a == b (mod 2), or n*a even."""
 
 
 class SizeLimitError(FactorLabError):
@@ -44,14 +46,6 @@ class NotEquitableError(FactorLabError):
 
     def __str__(self) -> str:
         return f"partition not equitable at vertex {self.vertex}, part {self.part}"
-
-
-class NotAPartitionError(FactorLabError):
-    """Vertex sets passed as a partition do not partition V."""
-
-
-class BadRotationError(FactorLabError):
-    """An edge rotation violates its neighborhood preconditions."""
 
 
 class SamplerExhaustedError(FactorLabError):

@@ -37,14 +37,7 @@ from operator import or_
 
 import numpy as np
 
-from .errors import (
-    BadParamsError,
-    FactorLabError,
-    InvalidGFError,
-    NonDisjointError,
-    ParityPreconditionError,
-    SizeLimitError,
-)
+from .errors import BadParamsError, FactorLabError, ParityPreconditionError, SizeLimitError
 from .graph import Graph, VertexSet, as_ints, components, iter_bits, mask_of
 from .matching import max_matching
 
@@ -67,7 +60,7 @@ class ParityParams:
     b: int
 
     def __post_init__(self):
-        as_ints((self.a, self.b), ParityPreconditionError, "a and b")
+        as_ints((self.a, self.b), "a and b")
         if not 1 <= self.a <= self.b:
             raise ParityPreconditionError(f"need 1 <= a <= b, got a={self.a}, b={self.b}")
         if (self.a - self.b) % 2 != 0:
@@ -91,14 +84,14 @@ class GFParams:
 
     def __post_init__(self):
         for name in ("g", "f"):  # kept as tuples of Python ints, so an iterator is read once
-            object.__setattr__(self, name, tuple(as_ints(getattr(self, name), InvalidGFError, name)))
+            object.__setattr__(self, name, tuple(as_ints(getattr(self, name), name)))
         if len(self.g) != len(self.f):
-            raise InvalidGFError("g and f must have equal length")
+            raise BadParamsError("g and f must have equal length")
         for v, (gv, fv) in enumerate(zip(self.g, self.f)):
             if not 0 <= gv <= fv:
-                raise InvalidGFError(f"need 0 <= g(v) <= f(v) at v={v}: g={gv}, f={fv}")
+                raise BadParamsError(f"need 0 <= g(v) <= f(v) at v={v}: g={gv}, f={fv}")
             if (gv - fv) % 2 != 0:
-                raise InvalidGFError(f"need g(v) == f(v) (mod 2) at v={v}: g={gv}, f={fv}")
+                raise BadParamsError(f"need g(v) == f(v) (mod 2) at v={v}: g={gv}, f={fv}")
 
 
 @dataclass(frozen=True)
@@ -128,14 +121,11 @@ class Verdict:
 
 
 def _disjoint_masks(g: Graph, s: VertexSet, t: VertexSet) -> tuple[int, int]:
-    try:
-        s_mask, t_mask = mask_of(s), mask_of(t)
-    except BadParamsError as exc:
-        raise NonDisjointError(f"S or T is not a vertex set: {exc}") from None
+    s_mask, t_mask = mask_of(s), mask_of(t)
     if s_mask & t_mask:
-        raise NonDisjointError("S and T must be disjoint")
+        raise BadParamsError("S and T must be disjoint")
     if (s_mask | t_mask) & ~g.full_mask:
-        raise NonDisjointError("S or T references vertices outside the graph")
+        raise BadParamsError("S or T references vertices outside the graph")
     return s_mask, t_mask
 
 
@@ -162,7 +152,7 @@ def verify_witness(g: Graph, w: CriterionWitness, params: ParityParams) -> bool:
     """True iff w's masks are disjoint inside V, ``criterion_witness`` gives w for them and eta <= -2."""
     try:
         return criterion_witness(g, w.s_set, w.t_set, params) == w and w.eta <= -2
-    except NonDisjointError:
+    except BadParamsError:
         return False
 
 
@@ -178,7 +168,7 @@ def eta_gf(g: Graph, s: VertexSet, t: VertexSet, gf: GFParams) -> int:
     constant g = a, f = b this equals ``eta``.
     """
     if len(gf.g) != g.n:
-        raise InvalidGFError(f"gf defined on {len(gf.g)} vertices, graph has {g.n}")
+        raise BadParamsError(f"gf defined on {len(gf.g)} vertices, graph has {g.n}")
     s_mask, t_mask = _disjoint_masks(g, s, t)
     return _deficiency(g, s_mask, t_mask, gf.g, gf.f)[0]
 

@@ -43,7 +43,7 @@ def clique_join(s: int, sizes: tuple[int, ...]) -> list[int]:
     isolated vertex of the union.
     """
     s = as_count(s, "clique_join's s")
-    sizes = as_ints(sizes, BadParamsError, "clique_join's sizes")
+    sizes = as_ints(sizes, "clique_join's sizes")
     n = s + sum(sizes)
     if min(sizes, default=1) < 1 or n > MAX_VERTICES:
         raise BadParamsError(f"clique_join needs sizes >= 1, order <= {MAX_VERTICES}; got s={s}, order {n}")
@@ -63,8 +63,8 @@ def g_na(n: int, a: int) -> LabeledConstruction:
     Labels: small clique 0..a-2, big clique a-1..n-a-3, independent set
     n-a-2..n-2, added vertex n-1.
     """
-    a = as_count(a, "g_na's a", 2)
-    n = as_count(n, "g_na's n", 2 * a + 3, MAX_VERTICES)  # before any row or clique-size tuple is built
+    n = as_count(n, "g_na's n", 7, MAX_VERTICES)  # n first, then what n leaves, before any row is built
+    a = as_count(a, "g_na's a", 2, (n - 3) // 2)
     rows = clique_join(a - 1, (n - 2 * a - 1,) + (1,) * (a + 1))
     indep = _range_mask(n - a - 2, a + 1)
     w_bit = 1 << (n - 1)
@@ -86,9 +86,9 @@ def book_family(n: int, s: int, b: int) -> LabeledConstruction:
     Labels: small clique 0..s-1, big clique s..n-b-2, independent set
     n-b-1..n-1.  The three blocks form an equitable partition.
     """
-    s = as_count(s, "book_family's s", 1)
-    b = as_count(b, "book_family's b", 1)
-    n = as_count(n, "book_family's n", b + s + 2, MAX_VERTICES)  # before any row or clique-size tuple is built
+    n = as_count(n, "book_family's n", 4, MAX_VERTICES)  # n first, then what n leaves, before any row is built
+    s = as_count(s, "book_family's s", 1, n - 3)
+    b = as_count(b, "book_family's b", 1, n - s - 2)
     graph = Graph(n, clique_join(s, (n - b - s - 1,) + (1,) * (b + 1)))
     blocks = {
         "clique_small": _range_mask(0, s),

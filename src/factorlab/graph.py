@@ -11,7 +11,7 @@ from numbers import Integral
 from operator import index
 from typing import Iterable, Iterator
 
-from .errors import BadParamsError, EmptyGraphError, FactorLabError, NonDisjointError
+from .errors import BadParamsError
 
 MAX_VERTICES = 4096
 
@@ -32,25 +32,30 @@ def mask_of(vertices: VertexSet) -> int:
     return m
 
 
-def as_ints(values: Iterable, error: type[FactorLabError], what: str) -> list[int]:
-    """``values`` as Python ints, numpy integers too (a numpy shift overflows past bit 63); a bool or any other value raises ``error``."""
+def as_ints(values: Iterable, what: str) -> list[int]:
+    """``values`` as Python ints, numpy integers too (a numpy shift overflows past bit 63); a bool or any other value raises BadParamsError."""
     try:
         values = tuple(values)
         if not any(isinstance(v, bool) for v in values):  # index(True) is 1
             return [index(v) for v in values]
     except TypeError:  # not iterable, or an entry that is no integer
         pass
-    raise error(f"{what} must be integers, got {values!r}")
+    raise BadParamsError(f"{what} must be integers, got {values!r}")
 
 
 def as_count(value: int, what: str, least: int = 0, most: int | None = None) -> int:
     """A count or order as a Python int, checked before any work: a bool, a non-integer
     or a value outside least..most (no upper end when most is None) raises BadParamsError."""
-    (value,) = as_ints((value,), BadParamsError, what)
-    if value < least or most is not None and value > most:
+    try:
+        count = index(value)
+    except TypeError:
+        count = None
+    if count is None or isinstance(value, bool):  # index(True) is 1
+        raise BadParamsError(f"{what} must be an integer, got {value!r}")
+    if count < least or most is not None and count > most:
         bound = f"at least {least}" if most is None else f"in {least}..{most}"
-        raise BadParamsError(f"{what} must be {bound}, got {value}")
-    return value
+        raise BadParamsError(f"{what} must be {bound}, got {count}")
+    return count
 
 
 def vertices_of(vertices: VertexSet) -> list[int]:
@@ -161,10 +166,10 @@ def validate(g: Graph) -> None:
 
 
 def complete(n: int) -> Graph:
-    """K_n.  Raises EmptyGraphError for n < 1."""
+    """K_n.  Raises BadParamsError for n < 1."""
     n = as_count(n, "vertex count", most=MAX_VERTICES)
     if n < 1:
-        raise EmptyGraphError("complete graph needs at least one vertex")
+        raise BadParamsError("complete graph needs at least one vertex")
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
@@ -173,7 +178,7 @@ def edgeless(n: int) -> Graph:
     """n isolated vertices."""
     n = as_count(n, "vertex count", most=MAX_VERTICES)
     if n < 1:
-        raise EmptyGraphError("edgeless graph needs at least one vertex")
+        raise BadParamsError("edgeless graph needs at least one vertex")
     return Graph(n, (0,) * n)
 
 
@@ -187,7 +192,7 @@ def path(n: int) -> Graph:
     """P_n."""
     n = as_count(n, "vertex count", most=MAX_VERTICES)
     if n < 1:
-        raise EmptyGraphError("path needs at least one vertex")
+        raise BadParamsError("path needs at least one vertex")
     return from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
@@ -195,7 +200,7 @@ def star(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 joined to all others."""
     n = as_count(n, "vertex count", most=MAX_VERTICES)
     if n < 1:
-        raise EmptyGraphError("star needs at least one vertex")
+        raise BadParamsError("star needs at least one vertex")
     return from_edges(n, [(0, v) for v in range(1, n)])
 
 
@@ -267,7 +272,7 @@ def edges_between(g: Graph, s: VertexSet, t: VertexSet) -> int:
     """Number of edges with one end in s and the other in t (disjoint sets)."""
     s_mask, t_mask = mask_of(s), mask_of(t)
     if s_mask & t_mask:
-        raise NonDisjointError("edges_between requires disjoint sets")
+        raise BadParamsError("edges_between requires disjoint sets")
     if (s_mask | t_mask) & ~g.full_mask:
         raise BadParamsError("edges_between set references vertices outside the graph")
     if s_mask.bit_count() > t_mask.bit_count():
@@ -277,19 +282,19 @@ def edges_between(g: Graph, s: VertexSet, t: VertexSet) -> int:
 
 def min_degree(g: Graph) -> int:
     if g.n == 0:
-        raise EmptyGraphError("min_degree of the empty graph is undefined")
+        raise BadParamsError("min_degree of the empty graph is undefined")
     return min(g.degrees())
 
 
 def is_connected(g: Graph) -> bool:
     if g.n == 0:
-        raise EmptyGraphError("connectivity of the empty graph is undefined")
+        raise BadParamsError("connectivity of the empty graph is undefined")
     return len(components(g)) == 1
 
 
 def relabel(g: Graph, new_of_old: list[int]) -> Graph:
     """Apply a permutation: vertex v of g becomes new_of_old[v]."""
-    perm = as_ints(new_of_old, BadParamsError, "relabel map entries")
+    perm = as_ints(new_of_old, "relabel map entries")
     if sorted(perm) != list(range(g.n)):
         raise BadParamsError("relabel map is not a permutation")
     rows = [0] * g.n

@@ -32,13 +32,7 @@ from operator import mul
 
 import numpy as np
 
-from .errors import (
-    BadParamsError,
-    BadRotationError,
-    NotAPartitionError,
-    NotConvergedError,
-    NotEquitableError,
-)
+from .errors import BadParamsError, NotConvergedError, NotEquitableError
 from .graph import MAX_VERTICES, Graph, VertexSet, as_count, as_ints, components, iter_bits, mask_of, vertices_of
 
 DEFAULT_TOL = 1e-10
@@ -150,7 +144,7 @@ def spectral_radius(
 
 def hong_nikiforov_bound(n: int, m: int, delta: int) -> float:
     """Degree/size upper bound (delta-1)/2 + sqrt(2m - n*delta + (delta+1)^2/4)."""
-    n = as_count(n, "hong_nikiforov_bound's n", 1)
+    n = as_count(n, "hong_nikiforov_bound's n", 2)  # 1 <= delta <= n-1
     delta = as_count(delta, "hong_nikiforov_bound's delta", 1, n - 1)
     m = as_count(m, "hong_nikiforov_bound's m", -(-n * delta // 2), n * (n - 1) // 2)  # n delta <= 2m <= n(n-1)
     return degree_size_curve(n, m, delta)
@@ -174,7 +168,7 @@ def f_monotone_check(n: int, m: int, x_grid: list[float]) -> bool:
     Grid points where the radicand goes negative (possible for sparse graphs
     at large x) are outside the curve's domain and are skipped.
     """
-    n, m = as_ints((n, m), BadParamsError, "f_monotone_check's n and m")
+    n, m = as_ints((n, m), "f_monotone_check's n and m")
     values = [degree_size_curve(n, m, x) for x in x_grid if _radicand(n, m, x) >= 0.0]
     return all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
 
@@ -194,12 +188,12 @@ def quotient(g: Graph, parts: list[VertexSet]) -> QuotientMatrix:
     union = 0
     for pm in masks:
         if pm == 0:
-            raise NotAPartitionError("empty part")
+            raise BadParamsError("empty part")
         if union & pm:
-            raise NotAPartitionError("parts overlap")
+            raise BadParamsError("parts overlap")
         union |= pm
     if union != g.full_mask:
-        raise NotAPartitionError("parts do not cover V")
+        raise BadParamsError("parts do not cover V")
     adj = g.adj
     entries = []
     for pm in masks:
@@ -305,7 +299,7 @@ def book_charpoly(n: int, s: int, b: int) -> tuple[tuple[int, int, int, int], in
     Returns the coefficients (1, c2, c1, c0) and the cubic's exact values at
     n-b-1 and n-b-2, the two evaluation points the spectral bound argument needs.
     """
-    n, s, b = as_ints((n, s, b), BadParamsError, "book_charpoly's n, s and b")
+    n, s, b = as_ints((n, s, b), "book_charpoly's n, s and b")
     c2 = -(n - b - 3)
     c1 = -(n + b * s + s - b - 2)
     c0 = -b * b * s + b * n * s - b * s * s - 3 * b * s + n * s - s * s - 2 * s
@@ -319,17 +313,17 @@ def edge_rotation(g: Graph, vi: int, vj: int, moved: VertexSet) -> Graph:
     ``moved`` must be a nonempty subset of N(vj) - N(vi) avoiding vi, so the
     result stays simple.
     """
-    vi, vj = as_ints((vi, vj), BadRotationError, "vi and vj")
+    vi, vj = as_ints((vi, vj), "vi and vj")
     if not (0 <= vi < g.n and 0 <= vj < g.n):
-        raise BadRotationError(f"vi and vj must be vertices of the graph, got {vi} and {vj}")
+        raise BadParamsError(f"vi and vj must be vertices of the graph, got {vi} and {vj}")
     moved_mask = mask_of(moved)
     if moved_mask == 0:
-        raise BadRotationError("moved set must be nonempty")
+        raise BadParamsError("moved set must be nonempty")
     if moved_mask >> vi & 1:
-        raise BadRotationError("moved set must not contain vi")
+        raise BadParamsError("moved set must not contain vi")
     allowed = g.adj[vj] & ~g.adj[vi]
     if moved_mask & ~allowed:
-        raise BadRotationError("moved set must lie in N(vj) - N(vi)")
+        raise BadParamsError("moved set must lie in N(vj) - N(vi)")
     rows = list(g.adj)
     rows[vj] &= ~moved_mask
     rows[vi] |= moved_mask

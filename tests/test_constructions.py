@@ -1,5 +1,8 @@
 """Extremal family constructors: degree profiles, edge counts, blocks."""
 
+import re
+from itertools import product
+
 import pytest
 
 from factorlab import (
@@ -221,3 +224,40 @@ class TestCliqueJoin:
                 with pytest.raises(BadParamsError, match=str(n)):
                     build(n, *args)
         assert g_na(MAX_VERTICES, 2).graph.n == MAX_VERTICES
+
+    @pytest.mark.parametrize(
+        "build, args, named",
+        [
+            pytest.param(g_na, (12, 10**9), "g_na's a", id="g_na-a-huge"),
+            pytest.param(g_na, (8, 3), "g_na's a", id="g_na-a-above-what-n-leaves"),
+            pytest.param(book_family, (12, 1, 10**9), "book_family's b", id="book_family-b-huge"),
+            pytest.param(book_family, (12, 10**9, 3), "book_family's s", id="book_family-s-huge"),
+            pytest.param(book_family, (10**9, 1, 10**9 - 5), "book_family's n", id="book_family-n-huge"),
+        ],
+    )
+    def test_refusal_names_the_parameter_out_of_range(self, build, args, named):
+        # n is checked first, then each shape parameter against what n leaves
+        with pytest.raises(BadParamsError, match=f"^{named} must be in"):
+            build(*args)
+
+    def test_no_refusal_prints_an_empty_range(self, monkeypatch):
+        class Accepted(Exception):
+            pass
+
+        def accept(*args):
+            raise Accepted
+
+        monkeypatch.setattr("factorlab.families.clique_join", accept)  # every check runs before the rows
+        values = (-1, 0, 1, 2, 3, 4, 7, 12, MAX_VERTICES, MAX_VERTICES + 1, 10**9)
+        refused = 0
+        for build, arity in ((g_na, 2), (book_family, 3)):
+            for args in product(values, repeat=arity):
+                try:
+                    build(*args)
+                except Accepted:
+                    continue
+                except BadParamsError as exc:
+                    refused += 1
+                    low, high = map(int, re.search(r" in (-?\d+)\.\.(-?\d+),", str(exc)).groups())
+                    assert low <= high, (build.__name__, args, str(exc))
+        assert refused > 1000

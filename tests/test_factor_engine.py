@@ -13,9 +13,8 @@ import pytest
 from factorlab import (
     CriterionWitness,
     FactorCertificate,
+    BadParamsError,
     GFParams,
-    InvalidGFError,
-    NonDisjointError,
     ParityPreconditionError,
     ParityParams,
     SizeLimitError,
@@ -161,7 +160,7 @@ class TestAOddCount:
             assert criterion_witness(g, s, t, ParityParams(3, 3)).q == naive_a_odd(g, s, t, 3)
 
     def test_disjointness_enforced(self):
-        with pytest.raises(NonDisjointError):
+        with pytest.raises(BadParamsError, match="S and T must be disjoint"):
             criterion_witness(complete(4), {0}, {0, 1}, ParityParams(2, 2))
 
 
@@ -210,7 +209,7 @@ class TestEta:
             eta(complete(5), 0, 0, ParityParams(1, 3))  # n*a odd
 
     def test_disjointness(self):
-        with pytest.raises(NonDisjointError):
+        with pytest.raises(BadParamsError, match="S and T must be disjoint"):
             eta(complete(4), {1}, {1}, ParityParams(2, 2))
 
 
@@ -229,18 +228,18 @@ class TestCriterionWitness:
             assert w == CriterionWitness(s_mask, t_mask, *cells)
 
     @pytest.mark.parametrize(
-        "s, t, params, error",
+        "s, t, params, error, match",
         [
-            ({1}, {1, 2}, ParityParams(2, 2), NonDisjointError),  # overlapping
-            ({5}, {1}, ParityParams(2, 2), NonDisjointError),  # outside V
-            (0, 1 << 7, ParityParams(2, 2), NonDisjointError),
-            (0, 0, ParityParams(1, 3), ParityPreconditionError),  # n*a odd
+            pytest.param({1}, {1, 2}, ParityParams(2, 2), BadParamsError, "must be disjoint", id="overlapping"),
+            pytest.param({5}, {1}, ParityParams(2, 2), BadParamsError, "outside the graph", id="outside-V"),
+            pytest.param(0, 1 << 7, ParityParams(2, 2), BadParamsError, "outside the graph", id="mask-outside-V"),
+            pytest.param(0, 0, ParityParams(1, 3), ParityPreconditionError, r"n\*a must be even", id="n-times-a-odd"),
         ],
     )
-    def test_raises_where_eta_does(self, s, t, params, error):
+    def test_raises_where_eta_does(self, s, t, params, error, match):
         g = complete(5)
         for fn in (eta, criterion_witness):
-            with pytest.raises(error):
+            with pytest.raises(error, match=match):
                 fn(g, s, t, params)
 
     def test_admits_is_the_order_rule(self):
@@ -290,11 +289,11 @@ class TestEtaGF:
         assert eta_gf(g, 0, 0, GFParams((1, 1), (1, 1))) == 0
 
     def test_invalid_gf(self):
-        with pytest.raises(InvalidGFError):
+        with pytest.raises(BadParamsError, match=r"\(mod 2\) at v=0"):
             GFParams((1, 2), (2, 2))  # parity mismatch at v=0
-        with pytest.raises(InvalidGFError):
+        with pytest.raises(BadParamsError, match=r"0 <= g\(v\) <= f\(v\) at v=0"):
             GFParams((3,), (1,))  # g > f
-        with pytest.raises(InvalidGFError):
+        with pytest.raises(BadParamsError, match="gf defined on 2 vertices, graph has 3"):
             eta_gf(complete(3), 0, 0, GFParams((1, 1), (1, 1)))  # wrong length
 
     def test_nonconstant_window(self):

@@ -7,15 +7,10 @@ import pytest
 
 from factorlab import (
     BadParamsError,
-    BadRotationError,
     CriterionWitness,
-    EmptyGraphError,
     FactorLabError,
     GFParams,
-    InvalidGFError,
-    NonDisjointError,
     ParityParams,
-    ParityPreconditionError,
     book_charpoly,
     book_family,
     clique_join,
@@ -29,6 +24,7 @@ from factorlab import (
     edge_rotation,
     edges_between,
     eta,
+    eta_gf,
     f_monotone_check,
     from_edges,
     g_na,
@@ -69,7 +65,7 @@ class TestComplete:
         assert complete(10).degrees() == [9] * 10
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyGraphError):
+        with pytest.raises(BadParamsError, match="complete graph needs at least one vertex"):
             complete(0)
 
 
@@ -189,7 +185,7 @@ class TestEdgesBetween:
         assert edges_between(cons.graph, cons.blocks["w"], cons.blocks["indep"]) == a + 1
 
     def test_overlap_rejected(self):
-        with pytest.raises(NonDisjointError):
+        with pytest.raises(BadParamsError, match="edges_between requires disjoint sets"):
             edges_between(complete(4), {0, 1}, {1, 2})
 
 
@@ -228,32 +224,43 @@ class TestMasks:
         assert relabel(h, back) == g
 
     @pytest.mark.parametrize(
-        "call, error",
+        "call, match",
         [
-            pytest.param(lambda k4: components(k4, 1 << 20), BadParamsError, id="components-outside-V"),
-            pytest.param(lambda k4: components(k4, [-1]), BadParamsError, id="components-negative-label"),
-            pytest.param(lambda k4: edges_between(k4, [9], [0]), BadParamsError, id="edges_between-outside-V"),
-            pytest.param(lambda k4: edges_between(k4, -1, 0), BadParamsError, id="edges_between-negative-mask"),
-            pytest.param(lambda k4: edge_rotation(k4, 9, 0, [1]), BadRotationError, id="edge_rotation-vi-outside-V"),
-            pytest.param(lambda k4: edge_rotation(k4, -1, 0, [3]), BadRotationError, id="edge_rotation-negative-vi"),
-            pytest.param(lambda k4: eta(k4, [-1], [], ParityParams(1, 1)), NonDisjointError, id="eta-negative-label"),
-            pytest.param(lambda k4: quotient(k4, [[0, 1], [2, 3, -1]]), BadParamsError, id="quotient-negative-label"),
-            pytest.param(lambda k4: delete_set(k4, [-1]), BadParamsError, id="delete_set-negative-label"),
-            pytest.param(lambda k4: mask_of([0, 1.5]), BadParamsError, id="mask_of-non-integer-label"),
-            pytest.param(lambda k4: vertices_of(-1), BadParamsError, id="vertices_of-negative-mask"),
-            pytest.param(lambda k4: components(k4, 1.5), BadParamsError, id="components-float-set"),
-            pytest.param(lambda k4: delete_set(k4, None), BadParamsError, id="delete_set-none-set"),
-            pytest.param(lambda k4: eta(k4, 1.5, 0, ParityParams(1, 1)), NonDisjointError, id="eta-float-set"),
-            pytest.param(lambda k4: edges_between(k4, 1.5, 2), BadParamsError, id="edges_between-float-set"),
-            pytest.param(lambda k4: from_edges(3, [(0, 1.5)]), BadParamsError, id="from_edges-float-label"),
-            pytest.param(lambda k4: from_edges(3, [(0, 1, 2)]), BadParamsError, id="from_edges-triple"),
-            pytest.param(lambda k4: relabel(k4, [0, 1, 2, 3.0]), BadParamsError, id="relabel-float-label"),
-            pytest.param(lambda k4: edge_rotation(k4, 0.5, 1, [2]), BadRotationError, id="edge_rotation-float-vi"),
+            pytest.param(lambda k4: components(k4, 1 << 20), "component set references vertices outside",
+                         id="components-outside-V"),
+            pytest.param(lambda k4: components(k4, [-1]), "vertex label -1 is not", id="components-negative-label"),
+            pytest.param(lambda k4: edges_between(k4, [9], [0]), "edges_between set references vertices outside",
+                         id="edges_between-outside-V"),
+            pytest.param(lambda k4: edges_between(k4, -1, 0), "vertex mask -1 is negative",
+                         id="edges_between-negative-mask"),
+            pytest.param(lambda k4: edge_rotation(k4, 9, 0, [1]), "vi and vj must be vertices of the graph",
+                         id="edge_rotation-vi-outside-V"),
+            pytest.param(lambda k4: edge_rotation(k4, -1, 0, [3]), "vi and vj must be vertices of the graph",
+                         id="edge_rotation-negative-vi"),
+            pytest.param(lambda k4: eta(k4, [-1], [], ParityParams(1, 1)), "^vertex label -1 is not a nonnegative integer$",
+                         id="eta-negative-label"),
+            pytest.param(lambda k4: quotient(k4, [[0, 1], [2, 3, -1]]), "vertex label -1 is not",
+                         id="quotient-negative-label"),
+            pytest.param(lambda k4: delete_set(k4, [-1]), "vertex label -1 is not", id="delete_set-negative-label"),
+            pytest.param(lambda k4: mask_of([0, 1.5]), "vertex label 1.5 is not", id="mask_of-non-integer-label"),
+            pytest.param(lambda k4: vertices_of(-1), "vertex mask -1 is negative", id="vertices_of-negative-mask"),
+            pytest.param(lambda k4: components(k4, 1.5), "vertex label 1.5 is not", id="components-float-set"),
+            pytest.param(lambda k4: delete_set(k4, None), "vertex label None is not", id="delete_set-none-set"),
+            pytest.param(lambda k4: eta(k4, 1.5, 0, ParityParams(1, 1)), "vertex label 1.5 is not", id="eta-float-set"),
+            pytest.param(lambda k4: edges_between(k4, 1.5, 2), "vertex label 1.5 is not", id="edges_between-float-set"),
+            pytest.param(lambda k4: from_edges(3, [(0, 1.5)]), "is not a pair of integer labels",
+                         id="from_edges-float-label"),
+            pytest.param(lambda k4: from_edges(3, [(0, 1, 2)]), "is not a pair of integer labels",
+                         id="from_edges-triple"),
+            pytest.param(lambda k4: relabel(k4, [0, 1, 2, 3.0]), "relabel map entries must be integers",
+                         id="relabel-float-label"),
+            pytest.param(lambda k4: edge_rotation(k4, 0.5, 1, [2]), "vi and vj must be integers",
+                         id="edge_rotation-float-vi"),
         ],
     )
-    def test_bad_vertex_set_is_refused(self, call, error):
+    def test_bad_vertex_set_is_refused(self, call, match):
         # each once raised IndexError, ValueError or TypeError, returned 0, or (vertices_of(-1)) never returned
-        with pytest.raises(error):
+        with pytest.raises(BadParamsError, match=match):
             call(complete(4))
 
     def test_negative_witness_mask_is_not_verified(self):
@@ -264,31 +271,42 @@ class TestMasks:
 
 class TestIntegerParams:
     @pytest.mark.parametrize(
-        "call, error",
+        "call, match",
         [
-            pytest.param(lambda: ParityParams(1.5, 3.5), ParityPreconditionError, id="ParityParams"),
-            pytest.param(lambda: GFParams((0.5,) * 4, (2.5,) * 4), InvalidGFError, id="GFParams"),
-            pytest.param(lambda: GFParams(0.5, 1), InvalidGFError, id="GFParams-scalars"),
-            pytest.param(lambda: ParityParams(True, 3), ParityPreconditionError, id="ParityParams-bool"),
-            pytest.param(lambda: relabel(complete(2), [True, False]), BadParamsError, id="relabel-bool"),
-            pytest.param(lambda: g_na(12.0, 2), BadParamsError, id="g_na"),
-            pytest.param(lambda: book_family(20, 2.0, 5), BadParamsError, id="book_family"),
-            pytest.param(lambda: clique_join(1, (2.5,)), BadParamsError, id="clique_join"),
-            pytest.param(lambda: survey_theorem(12.0, 2, 4, samples=1), BadParamsError, id="survey_theorem"),
-            pytest.param(lambda: spectral_radius(complete(4), tol="x"), BadParamsError, id="spectral_radius-tol"),
-            pytest.param(lambda: spectral_radius(complete(4), max_iter=1.5), BadParamsError, id="spectral_radius-max_iter"),
-            pytest.param(lambda: survey_theorem(None, 2, 4, samples=1), BadParamsError, id="survey_theorem-none"),
-            pytest.param(lambda: f_monotone_check(None, 30, [0.0, 1.0]), BadParamsError, id="f_monotone_check-none"),
-            pytest.param(lambda: book_charpoly(20.5, 2, 5), BadParamsError, id="book_charpoly-fraction"),
-            pytest.param(lambda: recognize_gna(complete(7), None), BadParamsError, id="recognize_gna-none"),
-            pytest.param(lambda: hong_nikiforov_bound(12, 30, None), BadParamsError, id="hong_nikiforov_bound-none"),
-            pytest.param(lambda: vertices_of(4.0), BadParamsError, id="vertices_of-float"),
+            pytest.param(lambda: ParityParams(1.5, 3.5), "a and b must be integers", id="ParityParams"),
+            pytest.param(lambda: GFParams((0.5,) * 4, (2.5,) * 4), "g must be integers", id="GFParams"),
+            pytest.param(lambda: GFParams(0.5, 1), "g must be integers", id="GFParams-scalars"),
+            pytest.param(lambda: ParityParams(True, 3), "a and b must be integers", id="ParityParams-bool"),
+            pytest.param(lambda: relabel(complete(2), [True, False]), "relabel map entries must be integers",
+                         id="relabel-bool"),
+            pytest.param(lambda: g_na(12.0, 2), "g_na's n must be an integer", id="g_na"),
+            pytest.param(lambda: book_family(20, 2.0, 5), "book_family's s must be an integer", id="book_family"),
+            pytest.param(lambda: clique_join(1, (2.5,)), "clique_join's sizes must be integers", id="clique_join"),
+            pytest.param(lambda: survey_theorem(12.0, 2, 4, samples=1), "n must be an integer", id="survey_theorem"),
+            pytest.param(lambda: spectral_radius(complete(4), tol="x"), "tol must be a number", id="spectral_radius-tol"),
+            pytest.param(lambda: spectral_radius(complete(4), max_iter=1.5), "max_iter must be an integer",
+                         id="spectral_radius-max_iter"),
+            pytest.param(lambda: spectral_radius(complete(4), max_iter=2.5), r"^max_iter must be an integer, got 2\.5$",
+                         id="spectral_radius-max_iter-message"),
+            pytest.param(lambda: survey_theorem(12, 2, 4, samples=2.5), r"^samples must be an integer, got 2\.5$",
+                         id="survey_theorem-samples-message"),
+            pytest.param(lambda: survey_theorem(None, 2, 4, samples=1), "n must be an integer, got None",
+                         id="survey_theorem-none"),
+            pytest.param(lambda: f_monotone_check(None, 30, [0.0, 1.0]), "f_monotone_check's n and m must be integers",
+                         id="f_monotone_check-none"),
+            pytest.param(lambda: book_charpoly(20.5, 2, 5), "book_charpoly's n, s and b must be integers",
+                         id="book_charpoly-fraction"),
+            pytest.param(lambda: recognize_gna(complete(7), None), "recognize_gna's a must be integers",
+                         id="recognize_gna-none"),
+            pytest.param(lambda: hong_nikiforov_bound(12, 30, None), "delta must be an integer, got None",
+                         id="hong_nikiforov_bound-none"),
+            pytest.param(lambda: vertices_of(4.0), "vertex label 4.0 is not", id="vertices_of-float"),
         ],
     )
-    def test_non_integer_is_refused(self, monkeypatch, call, error):
+    def test_non_integer_is_refused(self, monkeypatch, call, match):
         # each once was accepted or raised TypeError; a family refuses before it builds a row
         monkeypatch.setattr("factorlab.families.clique_join", lambda *args: pytest.fail("rows were built"))
-        with pytest.raises(error):
+        with pytest.raises(BadParamsError, match=match):
             call()
 
     @pytest.mark.parametrize(
@@ -317,6 +335,62 @@ class TestIntegerParams:
         assert book_family(n, two, five).graph == book_family(80, 2, 5).graph
         assert ParityParams(two, four) == ParityParams(2, 4) and GFParams((two,), (four,)).f == (4,)
         assert spectral_radius(complete(4), tol=np.float64(1e-9), max_iter=np.int64(100)).rho == pytest.approx(3)
+
+
+def _k4():
+    return complete(4)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        # no vertex: each graph constructor and degree query, beside cycle and spectral_radius
+        pytest.param(lambda: complete(0), "complete graph needs at least one vertex", id="complete-0"),
+        pytest.param(lambda: path(0), "path needs at least one vertex", id="path-0"),
+        pytest.param(lambda: star(0), "star needs at least one vertex", id="star-0"),
+        pytest.param(lambda: edgeless(0), "edgeless graph needs at least one vertex", id="edgeless-0"),
+        pytest.param(lambda: min_degree(Graph(0, [])), "min_degree of the empty graph", id="min_degree-empty"),
+        pytest.param(lambda: is_connected(Graph(0, [])), "connectivity of the empty graph", id="is_connected-empty"),
+        pytest.param(lambda: cycle(0), "vertex count must be in 3..", id="cycle-0"),
+        pytest.param(lambda: spectral_radius(Graph(0, [])), "spectral radius of the empty graph", id="spectral_radius-empty"),
+        # S and T: eta, beside edges_between and components
+        pytest.param(lambda: eta(_k4(), [7], [], ParityParams(1, 1)), "S or T references vertices outside",
+                     id="eta-outside-V"),
+        pytest.param(lambda: eta(_k4(), [-1], [], ParityParams(1, 1)), "^vertex label -1 is not a nonnegative integer$",
+                     id="eta-negative-label"),
+        pytest.param(lambda: eta(_k4(), [0, 1], [1], ParityParams(1, 1)), "S and T must be disjoint", id="eta-overlap"),
+        pytest.param(lambda: edges_between(_k4(), [7], [1]), "edges_between set references vertices outside",
+                     id="edges_between-outside-V"),
+        pytest.param(lambda: edges_between(_k4(), [0, 1], [1]), "edges_between requires disjoint sets",
+                     id="edges_between-overlap"),
+        pytest.param(lambda: components(_k4(), [7]), "component set references vertices outside",
+                     id="components-outside-V"),
+        # a partition that is not one
+        pytest.param(lambda: quotient(_k4(), [[0, 1], [2, 3], []]), "empty part", id="quotient-empty-part"),
+        pytest.param(lambda: quotient(_k4(), [[0, 1], [1, 2, 3]]), "parts overlap", id="quotient-overlap"),
+        pytest.param(lambda: quotient(_k4(), [[0, 1], [2]]), "parts do not cover V", id="quotient-not-covering"),
+        # the four refusals of edge_rotation
+        pytest.param(lambda: edge_rotation(_k4(), 9, 0, [1]), "vi and vj must be vertices", id="edge_rotation-outside-V"),
+        pytest.param(lambda: edge_rotation(path(5), 4, 0, 0), "moved set must be nonempty", id="edge_rotation-empty"),
+        pytest.param(lambda: edge_rotation(path(3), 0, 1, [0]), "moved set must not contain vi",
+                     id="edge_rotation-contains-vi"),
+        pytest.param(lambda: edge_rotation(_k4(), 0, 1, [2]), "moved set must lie in", id="edge_rotation-common"),
+        # degree windows
+        pytest.param(lambda: GFParams((0.5,), (1,)), "g must be integers", id="GFParams-float"),
+        pytest.param(lambda: GFParams((1,), (1, 1)), "g and f must have equal length", id="GFParams-length"),
+        pytest.param(lambda: GFParams((3,), (1,)), "0 <= g", id="GFParams-g-above-f"),
+        pytest.param(lambda: GFParams((1,), (2,)), "mod 2", id="GFParams-parity"),
+        pytest.param(lambda: eta_gf(complete(3), 0, 0, GFParams((1, 1), (1, 1))), "gf defined on 2 vertices",
+                     id="eta_gf-length"),
+        pytest.param(lambda: eta_gf(_k4(), [0], [0], GFParams((1,) * 4, (1,) * 4)), "S and T must be disjoint",
+                     id="eta_gf-overlap"),
+        pytest.param(lambda: ParityParams(1.5, 3.5), "a and b must be integers", id="ParityParams-float"),
+    ],
+)
+def test_every_argument_refusal_is_a_bad_params_error(call, match):
+    # an argument that breaks a stated condition raises the one class, whichever condition it is
+    with pytest.raises(BadParamsError, match=match):
+        call()
 
 
 class TestGraphType:

@@ -73,13 +73,8 @@ NO_INTS = (dict, ())
 # public name -> (valid keyword arguments, the parameters that take the bad values)
 ROWS = {
     "BadParamsError": NO_INTS,
-    "BadRotationError": NO_INTS,
-    "EmptyGraphError": NO_INTS,
     "FactorLabError": NO_INTS,
     "Graph6Error": NO_INTS,
-    "InvalidGFError": NO_INTS,
-    "NonDisjointError": NO_INTS,
-    "NotAPartitionError": NO_INTS,
     "NotConvergedError": NO_INTS,
     "NotEquitableError": (lambda: {"vertex": 1, "part": 1}, ("vertex", "part")),
     "ParityPreconditionError": NO_INTS,

@@ -12,8 +12,6 @@ import pytest
 
 from factorlab import (
     BadParamsError,
-    BadRotationError,
-    NotAPartitionError,
     NotConvergedError,
     NotEquitableError,
     book_charpoly,
@@ -234,6 +232,8 @@ class TestHongNikiforovBound:
             hong_nikiforov_bound(10, 2, 3)  # 2m < n*delta
         with pytest.raises(BadParamsError, match="delta must be in 1..3, got 1000000000"):
             hong_nikiforov_bound(4, 6, 10**9)  # the refusal names delta, not m
+        with pytest.raises(BadParamsError, match="n must be at least 2, got 1"):
+            hong_nikiforov_bound(1, 0, 1)  # no delta fits 1..n-1: the refusal names n, not delta's empty range
 
 
 class TestMonotoneCurve:
@@ -380,11 +380,11 @@ class TestQuotient:
 
     def test_not_a_partition(self):
         g = complete(4)
-        with pytest.raises(NotAPartitionError):
+        with pytest.raises(BadParamsError, match="parts overlap"):
             quotient(g, [0b0011, 0b0110])
-        with pytest.raises(NotAPartitionError):
+        with pytest.raises(BadParamsError, match="parts do not cover V"):
             quotient(g, [0b0011])
-        with pytest.raises(NotAPartitionError):
+        with pytest.raises(BadParamsError, match="empty part"):
             quotient(g, [0b0011, 0b1100, 0])
 
 
@@ -605,17 +605,17 @@ class TestEdgeRotation:
         assert rotated.has_edge(0, 4) and not rotated.has_edge(0, 1)
 
     def test_empty_moved_set_rejected(self):
-        with pytest.raises(BadRotationError):
+        with pytest.raises(BadParamsError, match="moved set must be nonempty"):
             edge_rotation(path(5), 4, 0, 0)
 
     def test_vi_in_moved_set_rejected(self):
         g = path(3)  # N(1) = {0, 2}
-        with pytest.raises(BadRotationError):
+        with pytest.raises(BadParamsError, match="moved set must not contain vi"):
             edge_rotation(g, 0, 1, {0})
 
     def test_moved_must_avoid_common_neighbors(self):
         g = complete(4)
-        with pytest.raises(BadRotationError):
+        with pytest.raises(BadParamsError, match=r"moved set must lie in N\(vj\) - N\(vi\)"):
             edge_rotation(g, 0, 1, {2})  # 2 is adjacent to both
 
     def test_rho_increases_with_perron_ordering(self):
