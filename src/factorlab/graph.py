@@ -92,9 +92,10 @@ class Graph:
                 raise BadParamsError(f"adjacency row {v} references vertices >= {n}")
             if row >> v & 1:
                 raise BadParamsError(f"self-loop at vertex {v}")
-        self.n = n
-        self.adj = rows
-        self.m = sum(row.bit_count() for row in rows) // 2
+        # past __setattr__, whose hasattr would fail with an exception three times
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "adj", rows)
+        object.__setattr__(self, "m", sum(map(int.bit_count, rows)) // 2)
 
     def __setattr__(self, name, value):
         if hasattr(self, "m") and name in self.__slots__:

@@ -34,7 +34,7 @@ from .factors import (
 )
 from .families import book_family, clique_join, g_na
 from .graph import (
-    MAX_VERTICES, Graph, as_count, as_ints, is_connected, iter_bits, mask_of, min_degree, relabel, vertices_of,
+    MAX_VERTICES, Graph, as_count, is_connected, iter_bits, mask_of, min_degree, relabel, vertices_of,
 )
 from .graph6 import read_graph6, to_graph6
 from .matching import has_perfect_matching
@@ -85,7 +85,7 @@ def _sample_gnp(n: int, min_deg: int, rng: random.Random, connected: bool) -> Gr
     400 tries.  Neither public sampler calls the other, so a wrapper around one
     name sees each draw once."""
     n = as_count(n, "sampled order", 1, MAX_VERTICES)  # before any of the n^2 pair draws
-    (min_deg,) = as_ints((min_deg,), "min_deg")
+    min_deg = as_count(min_deg, "min_deg")
     for attempt in range(400):
         g = _gnp(n, P_GRID[attempt % len(P_GRID)], rng)
         if min_degree(g) >= min_deg and (not connected or is_connected(g)):
@@ -108,7 +108,7 @@ def sample_regular(n: int, d: int, rng: random.Random) -> Graph:
     """Random d-regular simple graph: draw suitable stub pairs, restart when
     the residual degrees dead-end, and give up after 200 tries."""
     n = as_count(n, "regular order", most=MAX_VERTICES)
-    (d,) = as_ints((d,), "regular degree")
+    d = as_count(d, "regular degree")
     if d >= n or (n * d) % 2 != 0 or d < 1:
         raise SamplerExhaustedError(f"no d-regular graph for n={n}, d={d}")
     for _ in range(200):
@@ -195,7 +195,7 @@ def recognize_gna(g: Graph, a: int) -> dict[str, int] | None:
     g; each block is a set of twins there, so the order inside is free.
     """
     n = g.n
-    (a,) = as_ints((a,), "recognize_gna's a")
+    a = as_count(a, "recognize_gna's a")
     if a < 2 or n < 2 * a + 3:
         return None
     degs = g.degrees()

@@ -1,5 +1,6 @@
 """Core graph type: builders, set operations, and their invariants."""
 
+import pickle
 import random
 
 import numpy as np
@@ -296,7 +297,7 @@ class TestIntegerParams:
                          id="f_monotone_check-none"),
             pytest.param(lambda: book_charpoly(20.5, 2, 5), "book_charpoly's n, s and b must be integers",
                          id="book_charpoly-fraction"),
-            pytest.param(lambda: recognize_gna(complete(7), None), "recognize_gna's a must be integers",
+            pytest.param(lambda: recognize_gna(complete(7), None), "recognize_gna's a must be an integer, got None",
                          id="recognize_gna-none"),
             pytest.param(lambda: hong_nikiforov_bound(12, 30, None), "delta must be an integer, got None",
                          id="hong_nikiforov_bound-none"),
@@ -398,6 +399,17 @@ class TestGraphType:
         g = complete(3)
         with pytest.raises(AttributeError):
             g.n = 5
+
+    @pytest.mark.parametrize("protocol", range(2, pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_stays_immutable(self, protocol):
+        # a jobs > 1 oracle pool unpickles its workers' graphs: a copy that cannot be
+        # rebuilt hangs the pool instead of failing, so the round trip is checked here
+        g = from_edges(5, [(0, 1), (1, 2), (3, 4)])
+        copy = pickle.loads(pickle.dumps(g, protocol))
+        assert (copy.n, copy.adj, copy.m) == (g.n, g.adj, g.m)
+        for name in ("n", "adj", "m"):
+            with pytest.raises(AttributeError):
+                setattr(copy, name, getattr(g, name))
 
     def test_rejects_self_loop_rows(self):
         with pytest.raises(BadParamsError):

@@ -298,6 +298,30 @@ class TestSampler:
         with pytest.raises(BadParamsError):
             call(random.Random(0))
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            pytest.param(lambda rng: sample_connected_min_degree(12, 1.5, rng), "min_deg must be an integer, got 1.5",
+                         id="min_deg"),
+            pytest.param(lambda rng: sample_min_degree(12, -1, rng), "min_deg must be at least 0, got -1",
+                         id="min_deg-negative"),
+            pytest.param(lambda rng: sample_regular(12, 2.5, rng), "regular degree must be an integer, got 2.5",
+                         id="regular-degree"),
+            pytest.param(lambda rng: sample_regular(12, -2, rng), "regular degree must be at least 0, got -2",
+                         id="regular-degree-negative"),
+            pytest.param(lambda rng: recognize_gna(g_na(12, 2).graph, 1.5),
+                         "recognize_gna's a must be an integer, got 1.5", id="recognize_gna-a"),
+            pytest.param(lambda rng: recognize_gna(g_na(12, 2).graph, -1), "recognize_gna's a must be at least 0, got -1",
+                         id="recognize_gna-a-negative"),
+        ],
+    )
+    def test_one_value_refusal_names_the_value(self, monkeypatch, call, message):
+        # these once read "... must be integers, got (1.5,)", and took a negative value
+        monkeypatch.setattr(harness, "_gnp", lambda *args: pytest.fail("a graph was drawn"))
+        with pytest.raises(BadParamsError) as info:
+            call(random.Random(0))
+        assert str(info.value) == message
+
 
 class TestSurvey:
     def test_deterministic_report(self):
