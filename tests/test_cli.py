@@ -407,6 +407,25 @@ def test_broken_pipe_at_shutdown(unbuffered):
     assert "Broken pipe" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
+def test_only_check_parity_factor_names_force(capsys, tmp_path):
+    # verify takes no --force, so its report names only the library's force=True
+    corpus = tmp_path / "gna19.g6"
+    corpus.write_text(to_graph6(g_na(19, 2).graph) + "\n")
+    code, out, _ = run_cli(capsys, ["verify", "--suite", "oracle", "--corpus", str(corpus)])
+    assert code == 1
+    assert "capped at n <= 18" in out and "--force" not in out
+    # a forced run past the soft cap is quiet: stderr stays empty
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "factorlab.cli", "check-parity-factor", "--a", "2", "--b", "4",
+         "--method", "criterion", "--force"],
+        input=to_graph6(g_na(20, 2).graph) + "\n", capture_output=True, env=env, timeout=60, text=True,
+    )
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert json.loads(proc.stdout)["criterion"] == "no_factor"
+
+
 @pytest.mark.parametrize(
     "argv, env_seed",
     [
