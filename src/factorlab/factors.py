@@ -27,7 +27,6 @@ share nothing beyond the graph type, so they cross-validate each other.
 
 from __future__ import annotations
 
-import warnings
 from collections.abc import Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -209,14 +208,10 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
     n = g.n
     for p in params_list:
         p.validate_for(n)
-    if n > CRITERION_VERTEX_LIMIT:
-        if not force:
-            raise SizeLimitError(
-                f"criterion decider capped at n <= {CRITERION_VERTEX_LIMIT}; pass force=True (CLI: --force) to override"
-            )
-        if n > CRITERION_TABLE_LIMIT:
-            raise SizeLimitError(f"criterion tables hold 2^n entries; n <= {CRITERION_TABLE_LIMIT} even with force")
-        warnings.warn(f"criterion sweep over 3^{n} assignments; this may take very long")
+    if n > CRITERION_VERTEX_LIMIT and not force:
+        raise SizeLimitError(f"criterion decider capped at n <= {CRITERION_VERTEX_LIMIT}; pass force=True to override")
+    if n > CRITERION_TABLE_LIMIT:
+        raise SizeLimitError(f"criterion tables hold 2^n entries; n <= {CRITERION_TABLE_LIMIT} even with force")
     adj = g.adj
     full = g.full_mask
     first, keep = _PREFETCHED.pop((g, tuple(params_list)), None) or next(_criterion_tables([g], n, params_list))
@@ -595,12 +590,8 @@ def search_scan(
     if parity:
         for p in params_list:
             p.validate_for(g.n)
-    if g.m > SEARCH_EDGE_LIMIT:
-        if not force:
-            raise SizeLimitError(
-                f"search decider capped at m <= {SEARCH_EDGE_LIMIT} edges; pass force=True (CLI: --force) to override"
-            )
-        warnings.warn(f"edge-subset search over 2^{g.m} subsets; this may take very long")
+    if g.m > SEARCH_EDGE_LIMIT and not force:
+        raise SizeLimitError(f"search decider capped at m <= {SEARCH_EDGE_LIMIT} edges; pass force=True to override")
     degrees = g.degrees()
     rank = sorted(range(g.n), key=lambda v: (degrees[v], v))
     pos = [0] * g.n

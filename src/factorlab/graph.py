@@ -168,18 +168,14 @@ def validate(g: Graph) -> None:
 
 def complete(n: int) -> Graph:
     """K_n.  Raises BadParamsError for n < 1."""
-    n = as_count(n, "vertex count", most=MAX_VERTICES)
-    if n < 1:
-        raise BadParamsError("complete graph needs at least one vertex")
+    n = as_count(n, "vertex count", 1, MAX_VERTICES)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
 
 
 def edgeless(n: int) -> Graph:
     """n isolated vertices."""
-    n = as_count(n, "vertex count", most=MAX_VERTICES)
-    if n < 1:
-        raise BadParamsError("edgeless graph needs at least one vertex")
+    n = as_count(n, "vertex count", 1, MAX_VERTICES)
     return Graph(n, (0,) * n)
 
 
@@ -191,17 +187,13 @@ def cycle(n: int) -> Graph:
 
 def path(n: int) -> Graph:
     """P_n."""
-    n = as_count(n, "vertex count", most=MAX_VERTICES)
-    if n < 1:
-        raise BadParamsError("path needs at least one vertex")
+    n = as_count(n, "vertex count", 1, MAX_VERTICES)
     return from_edges(n, [(v, v + 1) for v in range(n - 1)])
 
 
 def star(n: int) -> Graph:
     """K_{1,n-1}: vertex 0 joined to all others."""
-    n = as_count(n, "vertex count", most=MAX_VERTICES)
-    if n < 1:
-        raise BadParamsError("star needs at least one vertex")
+    n = as_count(n, "vertex count", 1, MAX_VERTICES)
     return from_edges(n, [(0, v) for v in range(1, n)])
 
 

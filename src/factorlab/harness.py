@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import os
 import random
-import warnings
 from collections.abc import Sequence
 from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
@@ -585,10 +584,7 @@ def grid_gna_no_factor() -> GridReport:
             c_no = s_no = ""
             if n <= 14:
                 cv = criterion_scan(cons.graph, [params])[0]
-                with warnings.catch_warnings():
-                    # the soft edge cap is lifted deliberately on this grid
-                    warnings.simplefilter("ignore")
-                    sv = decide_by_search(cons.graph, params, force=True)
+                sv = decide_by_search(cons.graph, params, force=True)
                 c_no, s_no = not cv.exists, not sv.exists
                 ok = ok and c_no and s_no
             report.add(a, b, n, w.eta, w.q, c_no, s_no, ok)

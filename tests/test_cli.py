@@ -280,6 +280,13 @@ class TestCheckParityFactor:
         assert code == 2
         assert "--force" in err
 
+    def test_forced_refusal_does_not_name_the_flag(self, capsys, monkeypatch):
+        # g_na(25, 2) is above the criterion's table ceiling, which --force does not lift
+        monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(g_na(25, 2).graph) + "\n"))
+        code, err = run_exit(capsys, ["check-parity-factor", "--a", "2", "--b", "4", "--method", "criterion", "--force"])
+        assert code == 2
+        assert err == "error: criterion tables hold 2^n entries; n <= 24 even with force\n"
+
     @pytest.mark.parametrize("method,graphs", [
         # g_na(19, 2) is above the criterion cap of 18 vertices
         ("criterion", [g_na(19, 2).graph]),
@@ -337,18 +344,20 @@ class TestCheckParityFactor:
         ["rho", "--in", "{tmp}/missing.g6"],
         ["verify", "--suite", "oracle", "--corpus", "{tmp}/missing.g6"],
         ["rho", "--in", "{tmp}/latin.g6"],
+        ["rho", "--in", "{tmp}/empty.g6"],
         ["verify", "--suite", "eq1", "--samples", "10", "--out", "{tmp}/no/such/dir.csv"],
         ["verify", "--suite", "lemma2.2", "--samples", "0"],
         ["verify", "--suite", "eq1", "--samples", "-3"],
         ["verify", "--suite", "oracle", "--corpus", "{tmp}/k2.g6", "--jobs", "0"],
         ["verify", "--suite", "oracle", "--corpus", "{tmp}/k2.g6", "--jobs", "-5"],
     ],
-    ids=["missing-in", "missing-corpus", "non-ascii-in", "unwritable-out", "samples-0", "samples-negative",
+    ids=["missing-in", "missing-corpus", "non-ascii-in", "empty-in", "unwritable-out", "samples-0", "samples-negative",
          "jobs-0", "jobs-negative"],
 )
 def test_outside_input_is_input_error(capsys, tmp_path, argv):
     (tmp_path / "latin.g6").write_bytes("C~\nC\u00e9\n".encode("utf-8"))
     (tmp_path / "k2.g6").write_text("A_\n")
+    (tmp_path / "empty.g6").write_text("")
     code, err = run_exit(capsys, [arg.format(tmp=tmp_path) for arg in argv])
     assert code == 2
     assert len(err.strip().splitlines()) == 1 and "Traceback" not in err

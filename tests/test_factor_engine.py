@@ -360,8 +360,7 @@ class TestDecideByCriterion:
         g = path(6)
         with pytest.raises(SizeLimitError):
             decide_by_criterion(g, ParityParams(1, 1))
-        with pytest.warns(UserWarning):
-            v = decide_by_criterion(g, ParityParams(1, 1), force=True)
+        v = decide_by_criterion(g, ParityParams(1, 1), force=True)
         assert v.exists  # P_6 has a perfect matching
 
     def test_table_ceiling_refuses_force(self, monkeypatch):
@@ -369,8 +368,7 @@ class TestDecideByCriterion:
 
         monkeypatch.setattr(factors, "CRITERION_VERTEX_LIMIT", 4)
         monkeypatch.setattr(factors, "CRITERION_TABLE_LIMIT", 5)
-        with pytest.warns(UserWarning):
-            assert decide_by_criterion(cycle(5), ParityParams(2, 2), force=True).exists
+        assert decide_by_criterion(cycle(5), ParityParams(2, 2), force=True).exists
 
         def no_tables(*args):
             raise AssertionError("tables allocated above the ceiling")
@@ -743,15 +741,13 @@ class TestDecideBySearch:
         g = complete(10)  # 45 edges
         with pytest.raises(SizeLimitError):
             decide_by_search(g, ParityParams(2, 2))
-        with pytest.warns(UserWarning):
-            v = decide_by_search(g, ParityParams(2, 2), force=True)
+        v = decide_by_search(g, ParityParams(2, 2), force=True)
         assert v.exists
 
     def test_long_edge_list_no_recursion_error(self):
         # one search level per edge: 1500 levels exceed the default recursion limit
         g = cycle(1500)
-        with pytest.warns(UserWarning):
-            v = decide_by_search(g, ParityParams(2, 2), force=True)
+        v = decide_by_search(g, ParityParams(2, 2), force=True)
         assert v.exists
         assert v.certificate.edges == tuple(g.edges())
         assert verify_certificate(g, v.certificate, ParityParams(2, 2))

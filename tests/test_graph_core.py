@@ -66,7 +66,7 @@ class TestComplete:
         assert complete(10).degrees() == [9] * 10
 
     def test_empty_rejected(self):
-        with pytest.raises(BadParamsError, match="complete graph needs at least one vertex"):
+        with pytest.raises(BadParamsError, match="vertex count must be in 1..4096, got 0"):
             complete(0)
 
 
@@ -346,10 +346,10 @@ def _k4():
     "call, match",
     [
         # no vertex: each graph constructor and degree query, beside cycle and spectral_radius
-        pytest.param(lambda: complete(0), "complete graph needs at least one vertex", id="complete-0"),
-        pytest.param(lambda: path(0), "path needs at least one vertex", id="path-0"),
-        pytest.param(lambda: star(0), "star needs at least one vertex", id="star-0"),
-        pytest.param(lambda: edgeless(0), "edgeless graph needs at least one vertex", id="edgeless-0"),
+        pytest.param(lambda: complete(0), "vertex count must be in 1..4096, got 0", id="complete-0"),
+        pytest.param(lambda: path(0), "vertex count must be in 1..4096, got 0", id="path-0"),
+        pytest.param(lambda: star(0), "vertex count must be in 1..4096, got 0", id="star-0"),
+        pytest.param(lambda: edgeless(0), "vertex count must be in 1..4096, got 0", id="edgeless-0"),
         pytest.param(lambda: min_degree(Graph(0, [])), "min_degree of the empty graph", id="min_degree-empty"),
         pytest.param(lambda: is_connected(Graph(0, [])), "connectivity of the empty graph", id="is_connected-empty"),
         pytest.param(lambda: cycle(0), "vertex count must be in 3..", id="cycle-0"),
@@ -366,6 +366,10 @@ def _k4():
                      id="edges_between-overlap"),
         pytest.param(lambda: components(_k4(), [7]), "component set references vertices outside",
                      id="components-outside-V"),
+        pytest.param(lambda: delete_set(complete(3), [5]), "deleted set references vertices outside the graph",
+                     id="delete_set-outside-V"),
+        pytest.param(lambda: relabel(complete(3), [0, 0, 1]), "relabel map is not a permutation",
+                     id="relabel-not-a-permutation"),
         # a partition that is not one
         pytest.param(lambda: quotient(_k4(), [[0, 1], [2, 3], []]), "empty part", id="quotient-empty-part"),
         pytest.param(lambda: quotient(_k4(), [[0, 1], [1, 2, 3]]), "parts overlap", id="quotient-overlap"),
