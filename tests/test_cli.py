@@ -287,6 +287,13 @@ class TestCheckParityFactor:
         assert code == 2
         assert err == "error: criterion tables hold 2^n entries; n <= 24 even with force\n"
 
+    def test_table_ceiling_does_not_offer_the_flag(self, capsys, monkeypatch):
+        # without --force too, g_na(25, 2) is refused at the table ceiling, which --force would not lift
+        monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(g_na(25, 2).graph) + "\n"))
+        code, err = run_exit(capsys, ["check-parity-factor", "--a", "2", "--b", "4", "--method", "criterion"])
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "n <= 24" in err and "--force" not in err
+
     @pytest.mark.parametrize("method,graphs", [
         # g_na(19, 2) is above the criterion cap of 18 vertices
         ("criterion", [g_na(19, 2).graph]),

@@ -37,8 +37,10 @@ import resource
 import signal
 import subprocess
 import sys
+import tokenize
 from contextlib import nullcontext
 from dataclasses import fields
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -51,6 +53,9 @@ BAD = (4.0, None, "3", -1, True, MAX_VERTICES + 1, 10**9)
 LARGE = (MAX_VERTICES + 1, 10**9)  # valid for samples, trials and jobs, which have no upper bound
 ADDRESS_SPACE = 1 << 30
 ALARM_S = 20
+ROOT = Path(__file__).resolve().parent.parent
+# where a public name's callers live; the package's __init__.py only re-exports
+CALLER_DIRS = ("src/factorlab", "scripts", "demos", "perfbench")
 
 
 def _k4():
@@ -224,6 +229,27 @@ def test_every_public_callable_has_a_row():
     public = {name for name in dir(factorlab) if not name.startswith("_") and callable(getattr(factorlab, name))}
     assert sorted(public - set(ROWS)) == [], "public callables without a row"
     assert sorted(set(ROWS) - public) == [], "rows for names that are not public callables"
+
+
+def _names_used_outside_the_tests() -> set[str]:
+    """Every name token of the callers' code, less the name a def or class line defines."""
+    used = set()
+    for directory in CALLER_DIRS:
+        for path in sorted((ROOT / directory).rglob("*.py")):
+            if path == ROOT / "src/factorlab/__init__.py":
+                continue
+            with tokenize.open(path) as fh:
+                previous = None
+                for tok in tokenize.generate_tokens(fh.readline):
+                    if tok.type == tokenize.NAME and previous not in ("def", "class"):
+                        used.add(tok.string)
+                    previous = tok.string
+    return used
+
+
+def test_every_public_callable_has_a_caller_outside_the_tests():
+    public = {name for name in dir(factorlab) if not name.startswith("_") and callable(getattr(factorlab, name))}
+    assert sorted(public - _names_used_outside_the_tests()) == [], "public callables that only the tests call"
 
 
 def test_bad_values_give_a_result_or_a_package_error():
