@@ -14,7 +14,6 @@ from .errors import (
 from .factors import (
     CriterionWitness,
     FactorCertificate,
-    GFParams,
     ParityParams,
     Verdict,
     criterion_scan,
@@ -23,7 +22,6 @@ from .factors import (
     decide_by_matching,
     decide_by_search,
     eta,
-    eta_gf,
     search_scan,
     verify_certificate,
     verify_witness,
@@ -37,7 +35,6 @@ from .graph import (
     cycle,
     delete_set,
     disjoint_union,
-    edgeless,
     edges_between,
     from_edges,
     is_connected,
@@ -49,7 +46,7 @@ from .graph import (
     star,
     vertices_of,
 )
-from .graph6 import from_graph6, read_graph6, read_graph6_file, to_graph6, write_graph6_file
+from .graph6 import from_graph6, read_graph6, read_graph6_file, to_graph6
 from .harness import (
     GridReport,
     SurveyRecord,

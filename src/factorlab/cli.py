@@ -114,7 +114,7 @@ def _cmd_check(args) -> int:
             result["status"] = "skipped_parity"
         except SizeLimitError as exc:  # above a decider's soft cap: this graph is refused, the run goes on
             result["status"] = "size_limit"
-            print(f"error: {exc}" + ("" if args.force else " (CLI: --force)"), file=sys.stderr)
+            print(f"error: {exc}" + (" (CLI: --force)" if "force=True" in str(exc) else ""), file=sys.stderr)
             code = 2
         else:
             for name, v in verdicts.items():

@@ -75,25 +75,6 @@ class ParityParams:
 
 
 @dataclass(frozen=True)
-class GFParams:
-    """Per-vertex degree windows [g(v), f(v)] with g(v) == f(v) (mod 2)."""
-
-    g: tuple[int, ...]
-    f: tuple[int, ...]
-
-    def __post_init__(self):
-        for name in ("g", "f"):  # kept as tuples of Python ints, so an iterator is read once
-            object.__setattr__(self, name, tuple(as_ints(getattr(self, name), name)))
-        if len(self.g) != len(self.f):
-            raise BadParamsError("g and f must have equal length")
-        for v, (gv, fv) in enumerate(zip(self.g, self.f)):
-            if not 0 <= gv <= fv:
-                raise BadParamsError(f"need 0 <= g(v) <= f(v) at v={v}: g={gv}, f={fv}")
-            if (gv - fv) % 2 != 0:
-                raise BadParamsError(f"need g(v) == f(v) (mod 2) at v={v}: g={gv}, f={fv}")
-
-
-@dataclass(frozen=True)
 class CriterionWitness:
     """A violating disjoint pair: a certificate that no parity factor exists."""
 
@@ -128,23 +109,22 @@ def _disjoint_masks(g: Graph, s: VertexSet, t: VertexSet) -> tuple[int, int]:
     return s_mask, t_mask
 
 
-def _deficiency(g: Graph, s_mask: int, t_mask: int, lo, hi) -> tuple[int, int, int]:
-    """(eta, q, deg_sum) of disjoint masks S, T under per-vertex windows [lo(v), hi(v)]."""
+def _deficiency(g: Graph, s_mask: int, t_mask: int, a: int, b: int) -> tuple[int, int, int]:
+    """(eta, q, deg_sum) of disjoint masks S, T: eta = b|S| - a|T| + deg_sum - q, with
+    q the number of components C of G-S-T whose a|C| + e(C, T) is odd."""
     adj = g.adj
     deg_sum = sum((adj[x] & ~s_mask).bit_count() for x in iter_bits(t_mask))
     q = 0
     for comp in components(g, g.full_mask & ~s_mask & ~t_mask):
-        q += sum(lo[v] + (adj[v] & t_mask).bit_count() for v in iter_bits(comp)) & 1
-    f_s = sum(hi[v] for v in iter_bits(s_mask))
-    g_t = sum(lo[v] for v in iter_bits(t_mask))
-    return f_s - g_t + deg_sum - q, q, deg_sum
+        q += (a * comp.bit_count() + sum((adj[v] & t_mask).bit_count() for v in iter_bits(comp))) & 1
+    return b * s_mask.bit_count() - a * t_mask.bit_count() + deg_sum - q, q, deg_sum
 
 
 def criterion_witness(g: Graph, s: VertexSet, t: VertexSet, params: ParityParams) -> CriterionWitness:
     """The pair (S,T) with its eta, q and deg_sum, checked as ``eta`` checks; it proves no factor iff eta <= -2."""
     params.validate_for(g.n)
     s_mask, t_mask = _disjoint_masks(g, s, t)
-    return CriterionWitness(s_mask, t_mask, *_deficiency(g, s_mask, t_mask, (params.a,) * g.n, (params.b,) * g.n))
+    return CriterionWitness(s_mask, t_mask, *_deficiency(g, s_mask, t_mask, params.a, params.b))
 
 
 def verify_witness(g: Graph, w: CriterionWitness, params: ParityParams) -> bool:
@@ -158,18 +138,6 @@ def verify_witness(g: Graph, w: CriterionWitness, params: ParityParams) -> bool:
 def eta(g: Graph, s: VertexSet, t: VertexSet, params: ParityParams) -> int:
     """Deficiency b|S| - a|T| + sum_{x in T} d_{G-S}(x) - q(S,T); always even."""
     return criterion_witness(g, s, t, params).eta
-
-
-def eta_gf(g: Graph, s: VertexSet, t: VertexSet, gf: GFParams) -> int:
-    """General deficiency f(S) - g(T) + sum_{x in T} d_{G-S}(x) - q(S,T).
-
-    Here q counts components Q of G-S-T with g(V(Q)) + e(Q,T) odd.  With
-    constant g = a, f = b this equals ``eta``.
-    """
-    if len(gf.g) != g.n:
-        raise BadParamsError(f"gf defined on {len(gf.g)} vertices, graph has {g.n}")
-    s_mask, t_mask = _disjoint_masks(g, s, t)
-    return _deficiency(g, s_mask, t_mask, gf.g, gf.f)[0]
 
 
 def decide_by_criterion(g: Graph, params: ParityParams, force: bool = False) -> Verdict:
@@ -208,10 +176,10 @@ def criterion_scan(g: Graph, params_list: list[ParityParams], force: bool = Fals
     n = g.n
     for p in params_list:
         p.validate_for(n)
-    if n > CRITERION_VERTEX_LIMIT and not force:
-        raise SizeLimitError(f"criterion decider capped at n <= {CRITERION_VERTEX_LIMIT}; pass force=True to override")
     if n > CRITERION_TABLE_LIMIT:
         raise SizeLimitError(f"criterion tables hold 2^n entries; n <= {CRITERION_TABLE_LIMIT} even with force")
+    if n > CRITERION_VERTEX_LIMIT and not force:
+        raise SizeLimitError(f"criterion decider capped at n <= {CRITERION_VERTEX_LIMIT}; pass force=True to override")
     adj = g.adj
     full = g.full_mask
     first, keep = _PREFETCHED.pop((g, tuple(params_list)), None) or next(_criterion_tables([g], n, params_list))
@@ -499,26 +467,26 @@ def _violating_t(adj, xs, vs, ps, orsuf, suffmin, acc0, par0):
     return None
 
 
-def _parity_gadget(g: Graph, lo, hi) -> tuple[list[list[int]], int, list[tuple[int, int]]] | None:
-    """G's parity gadget under windows [lo(v), hi(v)]: its adjacency lists,
-    the first outer vertex and G's edges; None when some d(v) < lo(v).
+def _parity_gadget(g: Graph, lo: int, hi: int) -> tuple[list[list[int]], int, list[tuple[int, int]]] | None:
+    """G's parity gadget under the window [lo, hi]: its adjacency lists, the
+    first outer vertex and G's edges; None when some d(v) < lo.
 
     A vertex v of degree d, with b' its largest allowed degree <= d, gets
-    d - b' inner vertices joined to its d outer ones, and b' - lo(v) more
-    that are also joined to each other.  Edge i = (u, w) of G becomes outer
+    d - b' inner vertices joined to its d outer ones, and b' - lo more that
+    are also joined to each other.  Edge i = (u, w) of G becomes outer
     vertices first + 2i (at u) and first + 2i + 1 (at w), joined.  A perfect
-    matching pairs every inner vertex; b' - lo(v) - k of the clique ones
-    pair among themselves, an even number, so d - b' + k outer vertices of v
-    go to inner ones and the edges whose two outer vertices are matched give
-    v the degree b' - k, one of lo(v), lo(v) + 2, ..., b'.  Inner vertices
-    come first, so a greedy start gives each its first free outer vertex and
-    then keeps the edges whose two outer vertices are both left.
+    matching pairs every inner vertex; b' - lo - k of the clique ones pair
+    among themselves, an even number, so d - b' + k outer vertices of v go
+    to inner ones and the edges whose two outer vertices are matched give v
+    the degree b' - k, one of lo, lo + 2, ..., b'.  Inner vertices come
+    first, so a greedy start gives each its first free outer vertex and then
+    keeps the edges whose two outer vertices are both left.
     """
     edges = g.edges()
     degrees = g.degrees()
-    if any(d < low for d, low in zip(degrees, lo)):
+    if min(degrees, default=lo) < lo:  # the order-0 graph has no degrees and an empty factor
         return None
-    first = sum(degrees) - sum(lo)
+    first = sum(degrees) - lo * g.n
     ends: list[list[int]] = [[] for _ in range(g.n)]
     for i, (u, w) in enumerate(edges):
         ends[u].append(first + 2 * i)
@@ -526,9 +494,9 @@ def _parity_gadget(g: Graph, lo, hi) -> tuple[list[list[int]], int, list[tuple[i
     nbrs: list[list[int]] = []
     inner = []
     for v, d in enumerate(degrees):
-        top = hi[v] if d >= hi[v] else d - (d - lo[v]) % 2
+        top = hi if d >= hi else d - (d - lo) % 2
         start = len(nbrs)
-        clique = range(start + d - top, start + d - lo[v])
+        clique = range(start + d - top, start + d - lo)
         nbrs += [ends[v]] * (d - top)  # shared: never mutated
         nbrs += [ends[v] + [y for y in clique if y != x] for x in clique]
         inner.append(range(start, clique.stop))
@@ -547,7 +515,7 @@ def decide_by_matching(g: Graph, params: ParityParams) -> Verdict:
     before it is returned; no factor comes without a witness.
     """
     params.validate_for(g.n)
-    gadget = _parity_gadget(g, (params.a,) * g.n, (params.b,) * g.n)
+    gadget = _parity_gadget(g, params.a, params.b)
     if gadget is None:
         return Verdict(exists=False)
     nbrs, first, edges = gadget

@@ -152,31 +152,11 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     return Graph(n, rows)
 
 
-def validate(g: Graph) -> None:
-    """Full-scan check of symmetry, loop-freeness, and edge-count cache; raises BadParamsError."""
-    if len(g.adj) != g.n:
-        raise BadParamsError(f"expected {g.n} adjacency rows, got {len(g.adj)}")
-    for v in range(g.n):
-        if g.adj[v] >> v & 1:
-            raise BadParamsError(f"loop at {v}")
-        for u in iter_bits(g.adj[v]):
-            if not g.adj[u] >> v & 1:
-                raise BadParamsError(f"asymmetric pair ({v},{u})")
-    if 2 * g.m != sum(g.degrees()):
-        raise BadParamsError(f"edge count {g.m} does not match the degree sum {sum(g.degrees())}")
-
-
 def complete(n: int) -> Graph:
     """K_n.  Raises BadParamsError for n < 1."""
     n = as_count(n, "vertex count", 1, MAX_VERTICES)
     full = (1 << n) - 1
     return Graph(n, tuple(full ^ (1 << v) for v in range(n)))
-
-
-def edgeless(n: int) -> Graph:
-    """n isolated vertices."""
-    n = as_count(n, "vertex count", 1, MAX_VERTICES)
-    return Graph(n, (0,) * n)
 
 
 def cycle(n: int) -> Graph:

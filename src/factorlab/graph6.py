@@ -141,9 +141,3 @@ def read_graph6_file(path) -> list[Graph]:
         except UnicodeDecodeError:
             raise Graph6Error(f"{path}: non-ASCII byte") from None
     return read_graph6(text)
-
-
-def write_graph6_file(path, graphs) -> None:
-    with open(path, "w", encoding="ascii") as fh:
-        for g in graphs:
-            fh.write(to_graph6(g) + "\n")

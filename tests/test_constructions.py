@@ -15,18 +15,19 @@ from factorlab import (
     components,
     delete_set,
     disjoint_union,
-    edgeless,
     edges_between,
     eta,
+    from_edges,
     g_na,
     join,
     min_degree,
     quotient,
     vertices_of,
 )
-from factorlab.graph import MAX_VERTICES, validate
+from factorlab.graph import MAX_VERTICES
 from factorlab.harness import _partitions_exact
 from factorlab.spectral import QuotientMatrix
+from graph_checks import validate
 
 
 def block_degrees(cons, name):
@@ -69,7 +70,7 @@ class TestGna:
         cons = g_na(n, a)
         base, _ = delete_set(cons.graph, cons.blocks["w"])
         expected = join(complete(a - 1), disjoint_union(complete(n - 2 * a - 1),
-                                                        edgeless(a + 1)))
+                                                        from_edges(a + 1, [])))
         assert base == expected
 
     def test_delete_indep_leaves_clique_and_w(self):
@@ -170,7 +171,7 @@ def chained_join(s, sizes):
 
 
 def chained_gna(n, a):
-    core = join(complete(a - 1), disjoint_union(complete(n - 2 * a - 1), edgeless(a + 1)))
+    core = join(complete(a - 1), disjoint_union(complete(n - 2 * a - 1), from_edges(a + 1, [])))
     rows = list(core.adj) + [sum(1 << v for v in range(n - a - 2, n - 1))]
     for v in range(n - a - 2, n - 1):
         rows[v] |= 1 << (n - 1)
@@ -178,7 +179,7 @@ def chained_gna(n, a):
 
 
 def chained_book(n, s, b):
-    return join(complete(s), disjoint_union(complete(n - b - s - 1), edgeless(b + 1)))
+    return join(complete(s), disjoint_union(complete(n - b - s - 1), from_edges(b + 1, [])))
 
 
 class TestCliqueJoin:

@@ -14,7 +14,6 @@ from factorlab import (
     CriterionWitness,
     FactorCertificate,
     BadParamsError,
-    GFParams,
     ParityPreconditionError,
     ParityParams,
     SizeLimitError,
@@ -29,10 +28,9 @@ from factorlab import (
     decide_by_matching,
     decide_by_search,
     disjoint_union,
-    edgeless,
     eta,
-    eta_gf,
     from_edges,
+    from_graph6,
     g_na,
     has_perfect_matching,
     mask_of,
@@ -224,7 +222,7 @@ class TestCriterionWitness:
             w = criterion_witness(g, s, t, params)
             assert w.eta == eta(g, s, t, params)
             s_mask, t_mask = mask_of(s), mask_of(t)
-            cells = factors._deficiency(g, s_mask, t_mask, (params.a,) * n, (params.b,) * n)
+            cells = factors._deficiency(g, s_mask, t_mask, params.a, params.b)
             assert w == CriterionWitness(s_mask, t_mask, *cells)
 
     @pytest.mark.parametrize(
@@ -268,45 +266,6 @@ class TestVerifyWitness:
             criterion_witness(cons.graph, 0, 0, params),  # right cells, eta = 0 violates nothing
         ):
             assert not verify_witness(cons.graph, bad, params)
-
-
-class TestEtaGF:
-    def test_constant_specialization(self):
-        rng = random.Random(5)
-        pairs = [(1, 1), (2, 2), (2, 4), (3, 5)]
-        for _ in range(200):
-            n = rng.randrange(3, 11)
-            g = random_graph(n, 0.4, rng)
-            valid = [(a, b) for a, b in pairs if (n * a) % 2 == 0]
-            if not valid:
-                continue
-            a, b = rng.choice(valid)
-            s, t = random_disjoint_sets(n, rng)
-            assert eta_gf(g, s, t, GFParams((a,) * n, (b,) * n)) == eta(g, s, t, ParityParams(a, b))
-
-    def test_k2_unit_window(self):
-        g = complete(2)
-        assert eta_gf(g, 0, 0, GFParams((1, 1), (1, 1))) == 0
-
-    def test_invalid_gf(self):
-        with pytest.raises(BadParamsError, match=r"\(mod 2\) at v=0"):
-            GFParams((1, 2), (2, 2))  # parity mismatch at v=0
-        with pytest.raises(BadParamsError, match=r"0 <= g\(v\) <= f\(v\) at v=0"):
-            GFParams((3,), (1,))  # g > f
-        with pytest.raises(BadParamsError, match="gf defined on 2 vertices, graph has 3"):
-            eta_gf(complete(3), 0, 0, GFParams((1, 1), (1, 1)))  # wrong length
-
-    def test_nonconstant_window(self):
-        # hub may take degree 1 or 3; leaves are forced to 1: the star on 4
-        # vertices then has a parity (g,f)-factor, so eta stays nonnegative
-        g = star(4)
-        gf = GFParams((1, 1, 1, 1), (3, 1, 1, 1))
-        full = range(4)
-        for s_mask in range(16):
-            for t_mask in range(16):
-                if s_mask & t_mask:
-                    continue
-                assert eta_gf(g, s_mask, t_mask, gf) >= 0
 
 
 class TestDecideByCriterion:
@@ -429,7 +388,7 @@ class TestDecideByCriterion:
         # larger graphs into many blocks without changing a table entry
         rng = random.Random(1414)
         graphs = [g for n in range(1, 8) for g in bundled_connected_graphs(n)]
-        graphs += [path(12), edgeless(10), disjoint_union(cycle(5), path(6))]
+        graphs += [path(12), from_edges(10, []), disjoint_union(cycle(5), path(6))]
         graphs += [random_graph(14, p, rng) for p in (0.15, 0.3)]
         for g in graphs:
             (first,), (ncomp,) = factors._component_forest([g.adj], g.n)
@@ -580,7 +539,7 @@ class TestStackedTables:
 class TestPrefilter:
     def test_clique_cover_partitions_into_cliques(self):
         rng = random.Random(2024)
-        graphs = [complete(9), edgeless(7), g_na(14, 2).graph, disjoint_union(cycle(5), path(4))]
+        graphs = [complete(9), from_edges(7, []), g_na(14, 2).graph, disjoint_union(cycle(5), path(4))]
         graphs += [random_graph(rng.randrange(1, 16), rng.random(), rng) for _ in range(60)]
         for g in graphs:
             cover = factors._clique_cover(g.adj, g.n)
@@ -879,6 +838,12 @@ class TestDecideByMatching:
     def test_parity_precondition(self):
         with pytest.raises(ParityPreconditionError):
             decide_by_matching(complete(5), ParityParams(1, 1))
+
+    def test_order_zero_and_a_degree_below_a(self):
+        # the empty graph's empty edge set is a factor; a vertex of degree < a rules one out with no matching
+        v = decide_by_matching(from_graph6("?"), ParityParams(2, 4))
+        assert v.exists and v.certificate == FactorCertificate(edges=(), degrees=())
+        assert not decide_by_matching(disjoint_union(cycle(4), path(2)), ParityParams(2, 2)).exists
 
     def test_rejected_certificate_raises(self, monkeypatch):
         # the certificate is re-checked before it is returned, never trusted

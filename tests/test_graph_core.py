@@ -10,7 +10,6 @@ from factorlab import (
     BadParamsError,
     CriterionWitness,
     FactorLabError,
-    GFParams,
     ParityParams,
     book_charpoly,
     book_family,
@@ -21,11 +20,9 @@ from factorlab import (
     cycle,
     delete_set,
     disjoint_union,
-    edgeless,
     edge_rotation,
     edges_between,
     eta,
-    eta_gf,
     f_monotone_check,
     from_edges,
     g_na,
@@ -44,7 +41,8 @@ from factorlab import (
     verify_witness,
     vertices_of,
 )
-from factorlab.graph import MAX_VERTICES, Graph, validate
+from factorlab.graph import MAX_VERTICES, Graph
+from graph_checks import validate
 
 
 def random_graph(n, p, rng):
@@ -85,11 +83,11 @@ class TestUnionJoin:
         for _ in range(a):
             g = disjoint_union(g, complete(1))
         assert g.n == a + 1 and g.m == 0
-        assert g == edgeless(a + 1)
+        assert g == from_edges(a + 1, [])
 
     def test_join_star(self):
         n = 7
-        g = join(complete(1), edgeless(n - 1))
+        g = join(complete(1), from_edges(n - 1, []))
         assert g.degree(0) == n - 1
         assert g == star(n)
 
@@ -108,10 +106,10 @@ class TestUnionJoin:
 
 class TestComplement:
     def test_complete_to_edgeless(self):
-        assert complement(complete(6)) == edgeless(6)
+        assert complement(complete(6)) == from_edges(6, [])
 
     def test_edgeless_to_complete(self):
-        assert complement(edgeless(5)) == complete(5)
+        assert complement(from_edges(5, [])) == complete(5)
 
     def test_c4_complement_is_perfect_matching(self):
         g = complement(cycle(4))
@@ -157,7 +155,7 @@ class TestComponents:
         assert len(parts) == 1 and parts[0].bit_count() == 5
 
     def test_clique_plus_isolated(self):
-        g = disjoint_union(complete(3), edgeless(2))
+        g = disjoint_union(complete(3), from_edges(2, []))
         assert sorted(p.bit_count() for p in components(g)) == [1, 1, 3]
 
     def test_parts_connected_and_non_adjacent(self):
@@ -195,7 +193,7 @@ class TestDegreeConnectivity:
         assert min_degree(complete(9)) == 8
 
     def test_two_singletons_disconnected(self):
-        assert not is_connected(edgeless(2))
+        assert not is_connected(from_edges(2, []))
 
     def test_min_degree_gna_grid(self):
         for a in (2, 3, 4):
@@ -275,8 +273,6 @@ class TestIntegerParams:
         "call, match",
         [
             pytest.param(lambda: ParityParams(1.5, 3.5), "a and b must be integers", id="ParityParams"),
-            pytest.param(lambda: GFParams((0.5,) * 4, (2.5,) * 4), "g must be integers", id="GFParams"),
-            pytest.param(lambda: GFParams(0.5, 1), "g must be integers", id="GFParams-scalars"),
             pytest.param(lambda: ParityParams(True, 3), "a and b must be integers", id="ParityParams-bool"),
             pytest.param(lambda: relabel(complete(2), [True, False]), "relabel map entries must be integers",
                          id="relabel-bool"),
@@ -314,7 +310,6 @@ class TestIntegerParams:
         "call",
         [
             pytest.param(lambda n: complete(n), id="complete"),
-            pytest.param(lambda n: edgeless(n), id="edgeless"),
             pytest.param(lambda n: from_edges(n, []), id="from_edges"),
             pytest.param(lambda n: cycle(n), id="cycle"),
             pytest.param(lambda n: path(n), id="path"),
@@ -324,7 +319,7 @@ class TestIntegerParams:
     @pytest.mark.parametrize("n", [4.0, 2.5, None, True, -1, MAX_VERTICES + 1],
                              ids=["float", "fraction", "none", "bool", "negative", "over-limit"])
     def test_builder_order_is_refused_before_rows(self, monkeypatch, call, n):
-        # each once raised TypeError, was accepted (edgeless(True) gave n=True), or built every row first
+        # each once raised TypeError, was accepted (True gave an order of True), or built every row first
         monkeypatch.setattr("factorlab.graph.Graph", lambda *args: pytest.fail("rows were built"))
         monkeypatch.setattr("factorlab.graph.from_edges", lambda *args: pytest.fail("an edge list was built"))
         with pytest.raises(BadParamsError, match="vertex count"):
@@ -334,7 +329,7 @@ class TestIntegerParams:
         n, two, four, five = map(np.int64, (80, 2, 4, 5))
         assert g_na(n, two).graph == g_na(80, 2).graph
         assert book_family(n, two, five).graph == book_family(80, 2, 5).graph
-        assert ParityParams(two, four) == ParityParams(2, 4) and GFParams((two,), (four,)).f == (4,)
+        assert ParityParams(two, four) == ParityParams(2, 4)
         assert spectral_radius(complete(4), tol=np.float64(1e-9), max_iter=np.int64(100)).rho == pytest.approx(3)
 
 
@@ -349,7 +344,6 @@ def _k4():
         pytest.param(lambda: complete(0), "vertex count must be in 1..4096, got 0", id="complete-0"),
         pytest.param(lambda: path(0), "vertex count must be in 1..4096, got 0", id="path-0"),
         pytest.param(lambda: star(0), "vertex count must be in 1..4096, got 0", id="star-0"),
-        pytest.param(lambda: edgeless(0), "vertex count must be in 1..4096, got 0", id="edgeless-0"),
         pytest.param(lambda: min_degree(Graph(0, [])), "min_degree of the empty graph", id="min_degree-empty"),
         pytest.param(lambda: is_connected(Graph(0, [])), "connectivity of the empty graph", id="is_connected-empty"),
         pytest.param(lambda: cycle(0), "vertex count must be in 3..", id="cycle-0"),
@@ -381,14 +375,6 @@ def _k4():
                      id="edge_rotation-contains-vi"),
         pytest.param(lambda: edge_rotation(_k4(), 0, 1, [2]), "moved set must lie in", id="edge_rotation-common"),
         # degree windows
-        pytest.param(lambda: GFParams((0.5,), (1,)), "g must be integers", id="GFParams-float"),
-        pytest.param(lambda: GFParams((1,), (1, 1)), "g and f must have equal length", id="GFParams-length"),
-        pytest.param(lambda: GFParams((3,), (1,)), "0 <= g", id="GFParams-g-above-f"),
-        pytest.param(lambda: GFParams((1,), (2,)), "mod 2", id="GFParams-parity"),
-        pytest.param(lambda: eta_gf(complete(3), 0, 0, GFParams((1, 1), (1, 1))), "gf defined on 2 vertices",
-                     id="eta_gf-length"),
-        pytest.param(lambda: eta_gf(_k4(), [0], [0], GFParams((1,) * 4, (1,) * 4)), "S and T must be disjoint",
-                     id="eta_gf-overlap"),
         pytest.param(lambda: ParityParams(1.5, 3.5), "a and b must be integers", id="ParityParams-float"),
     ],
 )

@@ -3,15 +3,20 @@
 Every public callable, taken from ``dir(factorlab)`` as the package has no
 ``__all__``, has a row in ``ROWS``: a builder of valid keyword arguments and
 the names of its integer, count, order and vertex-set parameters, integer
-sequences (``relabel``'s map, ``clique_join``'s sizes, ``GFParams``'s
-windows, a record's degrees) included.  With all other arguments valid, each
-of those parameters in turn takes every value of ``BAD``, and the call must
-return or raise a ``FactorLabError``: no other exception, no exhausted
-memory, no hang.  ``samples``, ``trials`` and ``jobs`` have no upper bound,
-so the two large values are valid there: a spy on the runner's first step
-of work (``harness.Pool`` for ``jobs``) shows that they are accepted, and the
-work never runs.  Each row is first called with its valid arguments, which
-must be accepted, so that no refusal comes from a wrong valid argument.
+sequences (``relabel``'s map, ``clique_join``'s sizes, a record's degrees)
+included.  With all other arguments valid, each of those parameters in turn
+takes every value of ``BAD``, and the call must return or raise a
+``FactorLabError``: no other exception, no exhausted memory, no hang.
+``samples``, ``trials`` and ``jobs`` have no upper bound, so the two large
+values are valid there: a spy on the runner's first step of work
+(``harness.Pool`` for ``jobs``) shows that they are accepted, and the work
+never runs.  Each row is first called with its valid arguments, which must
+be accepted, so that no refusal comes from a wrong valid argument.
+
+Every public callable also needs a caller outside the tests: a name token
+in the code of ``src/factorlab`` (``__init__.py`` aside), ``scripts/``,
+``demos/`` or ``perfbench/``, other than the one its ``def`` or ``class``
+line defines.
 
 The whole table runs in one child process, this file run as a script, with
 one BLAS thread, an address space capped at 1 GiB and an alarm on each call.
@@ -90,7 +95,6 @@ ROWS = {
         ("s_set", "t_set", "eta", "q", "deg_sum"),
     ),
     "FactorCertificate": (lambda: {"edges": ((0, 1),), "degrees": (1, 1)}, ("degrees",)),
-    "GFParams": (lambda: {"g": (1, 1), "f": (1, 3)}, ("g", "f")),
     "ParityParams": (lambda: {"a": 2, "b": 4}, ("a", "b")),
     "Verdict": NO_INTS,
     "criterion_scan": NO_INTS,
@@ -99,10 +103,6 @@ ROWS = {
     "decide_by_matching": NO_INTS,
     "decide_by_search": NO_INTS,
     "eta": (lambda: {"g": _k4(), "s": 1, "t": 2, "params": _p22()}, ("s", "t")),
-    "eta_gf": (
-        lambda: {"g": _k4(), "s": 1, "t": 2, "gf": factorlab.GFParams((2,) * 4, (2,) * 4)},
-        ("s", "t"),
-    ),
     "search_scan": NO_INTS,
     "verify_certificate": NO_INTS,
     "verify_witness": NO_INTS,
@@ -117,7 +117,6 @@ ROWS = {
     "cycle": (lambda: {"n": 4}, ("n",)),
     "delete_set": (lambda: {"g": _k4(), "drop": 1}, ("drop",)),
     "disjoint_union": NO_INTS,
-    "edgeless": (lambda: {"n": 4}, ("n",)),
     "edges_between": (lambda: {"g": _k4(), "s": 1, "t": 2}, ("s", "t")),
     "from_edges": (lambda: {"n": 3, "edges": [(0, 1)]}, ("n",)),
     "is_connected": NO_INTS,
@@ -132,7 +131,6 @@ ROWS = {
     "read_graph6": NO_INTS,
     "read_graph6_file": NO_INTS,
     "to_graph6": NO_INTS,
-    "write_graph6_file": NO_INTS,
     "GridReport": NO_INTS,
     "SurveyRecord": (lambda: _fields(_survey().records[0]), ("index", "n", "m", "min_deg")),
     "SurveyReport": (
