@@ -19,7 +19,7 @@ from dataclasses import astuple, dataclass, field, fields
 from importlib import resources
 from multiprocessing import Pool
 
-from .errors import BadParamsError, FactorLabError, SamplerExhaustedError, SizeLimitError
+from .errors import FactorLabError, SamplerExhaustedError, SizeLimitError
 from .factors import (
     ParityParams,
     Verdict,

@@ -8,8 +8,6 @@ lifted (force=True) only where a criterion's stated grid requires it.
 import math
 import random
 
-import pytest
-
 from factorlab import (
     ParityParams,
     book_family,
@@ -22,7 +20,6 @@ from factorlab import (
     grid_degree_size_bound,
     grid_gna_no_factor,
     grid_parity_evenness,
-    is_connected,
     quotient,
     quotient_rho,
     spectral_radius,
@@ -30,7 +27,6 @@ from factorlab import (
     survey_theorem,
     sweep_oracle_equivalence,
 )
-from factorlab.graph import Graph
 from factorlab.harness import sample_connected_min_degree
 
 PAIRS = ((1, 1), (1, 3), (2, 2), (2, 4), (3, 3), (3, 5))
