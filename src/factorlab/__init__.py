@@ -69,6 +69,7 @@ from .spectral import (
     SpectralResult,
     book_charpoly,
     edge_rotation,
+    equitable_partition,
     f_monotone_check,
     hong_nikiforov_bound,
     quotient,

@@ -18,9 +18,9 @@ from .factors import (
     ParityParams, decide_by_criterion, decide_by_matching, decide_by_search, verify_certificate, verify_witness,
 )
 from .families import book_family, g_na
-from .graph import MAX_VERTICES, mask_of, vertices_of
+from .graph import vertices_of
 from .graph6 import read_graph6, read_graph6_file, to_graph6
-from .spectral import DEFAULT_MAX_ITER, DEFAULT_TOL, quotient, quotient_rho, spectral_radius
+from .spectral import equitable_partition, quotient, quotient_rho, spectral_radius
 
 # family name -> (builder, the options it needs besides --n)
 FAMILIES = {"g-na": (g_na, ("a",)), "book": (book_family, ("s", "b"))}
@@ -58,34 +58,19 @@ def _cmd_construct(args) -> int:
     return 0
 
 
-def _read_blocks(path: str) -> list[int]:
-    """Block masks from a JSON sidecar shaped {"blocks": {name: [vertex, ...]}}."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-        except (ValueError, RecursionError) as exc:
-            raise BadParamsError(f"sidecar {path}: {exc}") from None
-    blocks = sidecar.get("blocks") if isinstance(sidecar, dict) else None
-    if not isinstance(blocks, dict) or not all(
-        isinstance(block, list) and all(type(v) is int and 0 <= v < MAX_VERTICES for v in block)
-        for block in blocks.values()
-    ):
-        raise BadParamsError(f'sidecar {path}: expected {{"blocks": {{name: [vertex, ...]}}}}')
-    return [mask_of(block) for block in blocks.values()]
-
-
 def _cmd_rho(args) -> int:
-    graphs = _read_input_graphs(args)
-    parts = _read_blocks(args.quotient) if args.quotient else None
+    # --tol and --max-iter only when given, so that spectral_radius's own defaults are the only defaults
+    solver = {name: value for name in ("tol", "max_iter") if (value := getattr(args, name)) is not None}
+    if args.quotient and solver:
+        raise BadParamsError("rho --quotient does not read --tol or --max-iter")
     out = []
-    for g in graphs:
-        if parts is not None:
+    for g in _read_input_graphs(args):
+        if args.quotient:
+            parts = equitable_partition(g)
             out.append({"method": "quotient", "rho": quotient_rho(quotient(g, parts)), "parts": len(parts)})
         else:
-            r = spectral_radius(g, tol=args.tol, max_iter=args.max_iter)
-            out.append(
-                {"method": "power", "rho": r.rho, "iterations": r.iterations, "residual": r.residual}
-            )
+            r = spectral_radius(g, **solver)
+            out.append({"method": "power", "rho": r.rho, "iterations": r.iterations, "residual": r.residual})
     for item in out:
         print(json.dumps(item, sort_keys=True))
     return 0
@@ -200,9 +185,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rho", help="spectral radius of graph6 input (stdin or --in)")
     p.add_argument("--in", dest="infile")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--max-iter", type=int, default=DEFAULT_MAX_ITER)
-    p.add_argument("--quotient", help="JSON sidecar naming blocks; use its equitable quotient")
+    p.add_argument("--tol", type=float)
+    p.add_argument("--max-iter", type=int)
+    p.add_argument("--quotient", action="store_true", help="certified root of the coarsest equitable quotient")
     p.set_defaults(func=_cmd_rho)
 
     p = sub.add_parser("check-parity-factor", help="decide parity [a,b]-factor existence")

@@ -12,14 +12,14 @@ uniform vector.  The crossover is measured: below it one ``eigh`` call costs
 less than the tens of power steps it replaces; above it the cubic ``eigh``
 loses.
 
-Quotient spectral radii for matrices up to 8x8 are exact: a LAPACK
-eigenvalue brackets the Perron root, a sign change of the integer
-characteristic polynomial (Berkowitz) certifies the bracket, and bisection
-narrows it to adjacent floats.  Every sign is exact and found in integers:
-a float x is a dyadic rational num / 2^k, so p(x) 2^(k deg p) is an integer
-with the sign of p(x).  Bisecting blindly inside [min row sum, max row sum]
-would be unsound because subdominant real eigenvalues may sit above the
-minimum row sum.
+Every quotient spectral radius is certified, and a quotient of more than
+``MAX_QUOTIENT_CELLS`` = 8 cells is refused: a LAPACK eigenvalue brackets
+the Perron root, a sign change of the integer characteristic polynomial
+(Berkowitz) certifies the bracket, and bisection narrows it to adjacent
+floats.  Every sign is exact and found in integers: a float x is a dyadic
+rational num / 2^k, so p(x) 2^(k deg p) is an integer with the sign of p(x).
+Bisecting blindly inside [min row sum, max row sum] would be unsound
+because subdominant real eigenvalues may sit above the minimum row sum.
 """
 
 from __future__ import annotations
@@ -39,6 +39,7 @@ DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITER = 1_000_000
 EIGH_MAX_N = 32  # largest component order started from the LAPACK Perron vector
 STALL_STEPS = 100  # steps without a new least residual, with tol below the rounding floor, before giving up
+MAX_QUOTIENT_CELLS = 8  # largest quotient whose Perron root quotient_rho certifies
 _EPS = float(np.finfo(float).eps)
 
 
@@ -173,6 +174,32 @@ def f_monotone_check(n: int, m: int, x_grid: list[float]) -> bool:
     return all(values[i + 1] <= values[i] + 1e-12 for i in range(len(values) - 1))
 
 
+def equitable_partition(g: Graph) -> list[int]:
+    """Coarsest equitable partition, as masks in order of their lowest vertex.
+
+    Colour refinement: from one cell, each round splits every cell by
+    neighbour counts in the round's cells, until nothing splits.  Every
+    equitable partition refines every round, so the stable one is the
+    coarsest (Godsil and Royle 2001, §9.3).  More than ``MAX_QUOTIENT_CELLS``
+    cells raise ``BadParamsError`` in the round that makes them.
+    """
+    adj = g.adj
+    cells = [g.full_mask]
+    while True:
+        refined = []
+        for cell in cells:
+            split = {}
+            for v in iter_bits(cell):
+                key = tuple((adj[v] & other).bit_count() for other in cells)
+                split[key] = split.get(key, 0) | 1 << v
+            refined += split.values()
+            if len(refined) > MAX_QUOTIENT_CELLS:
+                raise BadParamsError(f"the coarsest equitable partition has more than {MAX_QUOTIENT_CELLS} cells")
+        if len(refined) == len(cells):
+            return sorted(cells, key=lambda cell: cell & -cell)
+        cells = refined
+
+
 def quotient(g: Graph, parts: list[VertexSet]) -> QuotientMatrix:
     """Integer quotient matrix of an equitable partition.
 
@@ -249,13 +276,13 @@ def _eval_exact(coeffs: Sequence[int], x: float) -> int:
 
 
 def quotient_rho(q: QuotientMatrix) -> float:
-    """Perron root of a nonnegative quotient matrix.
+    """Certified Perron root of a nonnegative quotient matrix.
 
-    The entries must form a square matrix of neighbour counts: each an
-    ``int`` in 0..MAX_VERTICES-1, as ``quotient`` returns them; anything
-    else raises ``BadParamsError``.  Constant row sums give the root
-    exactly.  Otherwise the largest real part among the LAPACK eigenvalues
-    brackets it, within 16 ulps or else 1e-6; up to 8x8 the bracket is
+    The entries must form a square matrix of neighbour counts with at most
+    ``MAX_QUOTIENT_CELLS`` rows: each an ``int`` in 0..MAX_VERTICES-1, as
+    ``quotient`` returns them; anything else raises ``BadParamsError``.
+    Constant row sums give the root exactly.  Otherwise the largest real part
+    among the LAPACK eigenvalues brackets it, within 16 ulps or else 1e-6; it is
     certified by a sign change of the exact characteristic polynomial and
     bisected to adjacent floats, returning the upper one (the root itself
     when it is a float).  Each sign is that of the integer ``_eval_exact``
@@ -268,12 +295,12 @@ def quotient_rho(q: QuotientMatrix) -> float:
     k = len(q.entries)
     if any(len(row) != k or any(type(v) is not int or not 0 <= v < MAX_VERTICES for v in row) for row in q.entries):
         raise BadParamsError(f"quotient entries must be a square matrix of ints in 0..{MAX_VERTICES - 1}")
+    if k > MAX_QUOTIENT_CELLS:
+        raise BadParamsError(f"quotient_rho certifies at most {MAX_QUOTIENT_CELLS} cells, got {k}")
     row_sums = {sum(row) for row in q.entries}
     if len(row_sums) == 1:
         return float(row_sums.pop())
     root = float(np.linalg.eigvals(np.array(q.entries, dtype=float)).real.max())
-    if k > 8:
-        return root  # exact charpoly bisection is only worthwhile for small matrices
     coeffs = charpoly_coefficients(q.entries)
     # certify the bracket, strictly below/above a simple Perron root: 16 ulps
     # either side of LAPACK's root, or 1e-6 where that does not certify

@@ -11,8 +11,28 @@ from pathlib import Path
 
 import pytest
 
-from factorlab import ParityParams, bundled_connected_graphs, cli, from_graph6, g_na, harness, to_graph6
+import numpy as np
+
+from factorlab import (
+    ParityParams, book_family, bundled_connected_graphs, cli, complete, disjoint_union, from_graph6, g_na,
+    harness, spectral_radius, star, to_graph6,
+)
 from factorlab.cli import main
+
+# the orders of the pinned family quotient roots, and the sha256 of their reprs, one a line
+PINNED_ORDERS = (*range(7, 41), *range(50, 201, 10))
+PINNED_ROOTS = "e36bf164492bf10d09fd9132afcef760bc825908e5fecd5c958999c14e4f7af1"
+
+
+def _random_graph6(n: int) -> str:
+    """G(n, 1/2) as graph6, 63 <= n < 2^18: "~" and n in three 6-bit characters, then the upper
+    triangle in uniform random 6-bit characters."""
+    header = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+    data = np.random.default_rng(0).integers(63, 127, -(-n * (n - 1) // 12), dtype=np.uint8)
+    return header + data.tobytes().decode()
+
+
+RANDOM_4096 = _random_graph6(4096)
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -99,48 +119,52 @@ class TestRho:
         assert data["method"] == "power"
         assert "residual" in data and "iterations" in data
 
-    def test_quotient_mode(self, capsys, monkeypatch, tmp_path):
-        code, out, _ = run_cli(capsys, ["construct", "g-na", "--n", "14", "--a", "3"])
-        g6_line, sidecar = out.strip().split("\n")
-        blocks_file = tmp_path / "blocks.json"
-        blocks_file.write_text(sidecar)
-        code, out, _ = run_cli(
-            capsys,
-            ["rho", "--quotient", str(blocks_file)],
-            stdin=g6_line + "\n",
-            monkeypatch=monkeypatch,
-        )
+    def test_quotient_mode(self, capsys, monkeypatch):
+        g = g_na(14, 3).graph
+        code, out, _ = run_cli(capsys, ["rho", "--quotient"], stdin=to_graph6(g) + "\n", monkeypatch=monkeypatch)
         assert code == 0
         data = json.loads(out.strip())
         assert data["method"] == "quotient" and data["parts"] == 4
-        from factorlab import spectral_radius
+        assert abs(data["rho"] - spectral_radius(g).rho) <= 1e-8
 
-        assert abs(data["rho"] - spectral_radius(from_graph6(g6_line)).rho) <= 1e-8
-
-    def test_quotient_not_equitable_names_vertex_and_part(self, capsys, monkeypatch, tmp_path):
-        # Ch is P_4; in {0, 1} | {2, 3} vertex 1 has a neighbour in part 1 and vertex 0 none
-        blocks_file = tmp_path / "ne.json"
-        blocks_file.write_text('{"blocks": {"x": [0, 1], "y": [2, 3]}}')
-        code, out, err = run_cli(capsys, ["rho", "--quotient", str(blocks_file)], stdin="Ch\n",
-                                 monkeypatch=monkeypatch)
-        assert code == 2 and out == ""
-        assert err == "error: partition not equitable at vertex 1, part 1\n"
+    def test_quotient_roots_of_the_families_are_pinned(self, capsys, monkeypatch):
+        # the roots that `rho --quotient FILE` gave with construct's sidecar blocks, byte for byte; the
+        # coarsest partition merges a book's one-vertex big clique into its independent set
+        grid = [(g_na(n, a), 4) for a in range(2, 6) for n in PINNED_ORDERS if n >= 2 * a + 3]
+        grid += [(book_family(n, s, b), 2 if n == b + s + 2 else 3)
+                 for s in range(1, 6) for b in range(4, 10) for n in PINNED_ORDERS if n >= b + s + 2]
+        stdin = "".join(to_graph6(cons.graph) + "\n" for cons, _ in grid)
+        code, out, _ = run_cli(capsys, ["rho", "--quotient"], stdin=stdin, monkeypatch=monkeypatch)
+        assert code == 0
+        lines = [json.loads(line) for line in out.splitlines()]
+        assert [line["parts"] for line in lines] == [parts for _, parts in grid]
+        assert hashlib.sha256("\n".join(repr(line["rho"]) for line in lines).encode()).hexdigest() == PINNED_ROOTS
+        assert (len(lines), lines[5]["rho"], lines[-1]["rho"]) == (1553, 7.059441033272229, 189.00697104244264)
 
     @pytest.mark.parametrize(
-        "content",
-        [None, "not json", "[1,2]", '{"x":1}', '{"blocks":[[0,1]]}', '{"blocks":{"x":"ab"}}',
-         '{"blocks":{"x":[-1]}}', "[" * 100_000],
-        ids=["missing", "not-json", "list", "no-blocks", "blocks-list", "block-str", "negative", "deep"],
+        "graph6",
+        [to_graph6(disjoint_union(complete(4), star(10))), RANDOM_4096],
+        ids=["double-perron-root", "gnp-4096"],
     )
-    def test_bad_sidecar_is_input_error(self, capsys, monkeypatch, tmp_path, content):
-        sidecar = tmp_path / "blocks.json"
-        if content is not None:
-            sidecar.write_text(content)
-        g6 = to_graph6(g_na(14, 3).graph)
-        monkeypatch.setattr("sys.stdin", io.StringIO(f"{g6}\n{g6}\n"))
-        code, err = run_exit(capsys, ["rho", "--quotient", str(sidecar)])
+    def test_quotient_refusal_is_one_line(self, capsys, monkeypatch, graph6):
+        # K_4 + K_{1,9}: quotient polynomial (x - 3)^2 (x + 3), no sign change at the root;
+        # G(4096, 1/2): far more than 8 cells, refused in the first refinement round
+        monkeypatch.setattr("sys.stdin", io.StringIO(graph6 + "\n"))
+        start = time.perf_counter()
+        code, err = run_exit(capsys, ["rho", "--quotient"])
+        assert time.perf_counter() - start < 1.0
         assert code == 2
-        assert len(err.strip().splitlines()) == 1 and "Traceback" not in err
+        assert err.startswith("error: ") and len(err.strip().splitlines()) == 1 and "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "option", [["--tol", "0.5"], ["--max-iter", "1"], ["--tol", "0.5", "--max-iter", "1"]],
+        ids=["tol", "max-iter", "both"],
+    )
+    def test_quotient_refuses_solver_options(self, capsys, monkeypatch, option):
+        monkeypatch.setattr("sys.stdin", io.StringIO(to_graph6(g_na(12, 2).graph) + "\n"))
+        code, out, err = run_cli(capsys, ["rho", "--quotient", *option])
+        assert (code, out) == (2, "")
+        assert err == "error: rho --quotient does not read --tol or --max-iter\n"
 
     @pytest.mark.parametrize(
         "option", [["--max-iter", "-1"], ["--tol", "-1"], ["--tol", "0"]],

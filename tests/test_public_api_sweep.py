@@ -162,6 +162,7 @@ ROWS = {
     ),
     "book_charpoly": (lambda: {"n": 20, "s": 2, "b": 5}, ("n", "s", "b")),
     "edge_rotation": (lambda: {"g": factorlab.path(3), "vi": 0, "vj": 1, "moved": [2]}, ("vi", "vj", "moved")),
+    "equitable_partition": NO_INTS,
     "f_monotone_check": (lambda: {"n": 10, "m": 20, "x_grid": [0.0, 1.0]}, ("n", "m")),
     "hong_nikiforov_bound": (lambda: {"n": 4, "m": 6, "delta": 3}, ("n", "m", "delta")),
     "quotient": NO_INTS,

@@ -16,10 +16,13 @@ from factorlab import (
     NotEquitableError,
     book_charpoly,
     book_family,
+    bundled_connected_graphs,
+    complement,
     complete,
     cycle,
     disjoint_union,
     edge_rotation,
+    equitable_partition,
     f_monotone_check,
     from_edges,
     from_graph6,
@@ -388,6 +391,87 @@ class TestQuotient:
             quotient(g, [0b0011, 0b1100, 0])
 
 
+def set_partitions(n):
+    """Every partition of range(n) into nonempty cells, as lists of masks."""
+    if n == 0:
+        yield []
+        return
+    bit = 1 << (n - 1)
+    for cells in set_partitions(n - 1):
+        for i in range(len(cells)):
+            yield cells[:i] + [cells[i] | bit] + cells[i + 1:]
+        yield cells + [bit]
+
+
+def is_equitable(g, masks):
+    try:
+        quotient_reference(g, masks)
+    except NotEquitableError:
+        return False
+    return True
+
+
+class TestEquitablePartition:
+    def test_coarsest_on_small_graphs(self):
+        # the n <= 6 corpus and its complements, which are often disconnected: the partition is
+        # equitable, in order of lowest vertex, and every equitable partition refines it
+        graphs = [g for n in range(1, 7) for g in bundled_connected_graphs(n)]
+        checked = 0
+        for g in graphs + [complement(g) for g in graphs]:
+            coarsest = equitable_partition(g)
+            assert sum(coarsest) == g.full_mask and sorted(coarsest, key=lambda m: m & -m) == coarsest
+            assert is_equitable(g, coarsest)
+            for cells in set_partitions(g.n):
+                if is_equitable(g, cells):
+                    assert all(any(cell & ~c == 0 for c in coarsest) for cell in cells)
+                    checked += 1
+        assert checked > 1000
+
+    def test_quotient_root_is_the_spectral_radius_on_the_corpus(self):
+        worst = 0.0
+        for n in range(1, 9):
+            for g in bundled_connected_graphs(n):
+                rho = quotient_rho(quotient(g, equitable_partition(g)))
+                worst = max(worst, abs(rho - spectral_radius(g).rho))
+        assert worst <= 1e-12
+
+    def test_quotient_root_on_disconnected_samples(self):
+        # sparse G(n, p): a partition past 8 cells is refused, and a double Perron root, from two
+        # components in different cells with one radius, raises NotConvergedError; the rest agree
+        rng = random.Random(29)
+        agreed = 0
+        for _ in range(1000):
+            g = random_graph(rng.randrange(4, 25), rng.choice((0.05, 0.1, 0.15)), rng)
+            if is_connected(g):
+                continue
+            try:
+                qm = quotient(g, equitable_partition(g))
+            except BadParamsError as exc:
+                assert "more than 8 cells" in str(exc)
+                continue
+            top = np.linalg.eigvalsh(spectral.adjacency_matrix(g))[-2:]
+            try:
+                rho = quotient_rho(qm)
+            except NotConvergedError:
+                assert top[1] - top[0] <= 1e-9
+                continue
+            assert abs(rho - spectral_radius(g).rho) <= 1e-12
+            agreed += 1
+        assert agreed > 400
+
+    def test_more_than_eight_cells_are_refused(self):
+        # P_n's cells are its mirror pairs, and the middle vertex when n is odd
+        assert equitable_partition(path(16)) == [1 << v | 1 << (15 - v) for v in range(8)]
+        with pytest.raises(BadParamsError, match="more than 8 cells"):
+            equitable_partition(path(17))
+
+    def test_families(self):
+        assert equitable_partition(g_na(14, 3).graph) == g_na(14, 3).parts()
+        assert equitable_partition(book_family(20, 2, 5).graph) == book_family(20, 2, 5).parts()
+        # a one-vertex big clique has the independent vertices' neighbourhood, K_s
+        assert equitable_partition(book_family(9, 2, 5).graph) == [0b11, 0b111111100]
+
+
 class TestQuotientRho:
     def test_single_part_complete(self):
         g = complete(12)
@@ -395,11 +479,10 @@ class TestQuotientRho:
         assert isinstance(qm, QuotientMatrix)
         assert quotient_rho(qm) == 11.0
 
-    def test_more_than_eight_parts_take_the_lapack_root(self):
-        # P_10 in singletons: a 10 x 10 quotient, past the exact charpoly bisection
-        g = path(10)
-        rho = quotient_rho(quotient(g, [1 << v for v in range(10)]))
-        assert abs(rho - 2 * math.cos(math.pi / 11)) <= 1e-12
+    def test_more_than_eight_parts_are_refused(self):
+        # P_10 in singletons: a 10 x 10 quotient, past the certified charpoly bisection
+        with pytest.raises(BadParamsError, match="at most 8 cells, got 10"):
+            quotient_rho(quotient(path(10), [1 << v for v in range(10)]))
 
     def test_book_matches_full_graph(self):
         for n, s, b in [(20, 1, 4), (30, 3, 6), (60, 5, 9), (200, 2, 4)]:
