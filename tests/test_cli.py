@@ -9,9 +9,8 @@ import sys
 import time
 from pathlib import Path
 
-import pytest
-
 import numpy as np
+import pytest
 
 from factorlab import (
     ParityParams, book_family, bundled_connected_graphs, cli, complete, disjoint_union, from_graph6, g_na,
@@ -30,9 +29,6 @@ def _random_graph6(n: int) -> str:
     header = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
     data = np.random.default_rng(0).integers(63, 127, -(-n * (n - 1) // 12), dtype=np.uint8)
     return header + data.tobytes().decode()
-
-
-RANDOM_4096 = _random_graph6(4096)
 
 
 def run_cli(capsys, argv, stdin=None, monkeypatch=None):
@@ -143,13 +139,13 @@ class TestRho:
 
     @pytest.mark.parametrize(
         "graph6",
-        [to_graph6(disjoint_union(complete(4), star(10))), RANDOM_4096],
+        [lambda: to_graph6(disjoint_union(complete(4), star(10))), lambda: _random_graph6(4096)],
         ids=["double-perron-root", "gnp-4096"],
     )
     def test_quotient_refusal_is_one_line(self, capsys, monkeypatch, graph6):
         # K_4 + K_{1,9}: quotient polynomial (x - 3)^2 (x + 3), no sign change at the root;
         # G(4096, 1/2): far more than 8 cells, refused in the first refinement round
-        monkeypatch.setattr("sys.stdin", io.StringIO(graph6 + "\n"))
+        monkeypatch.setattr("sys.stdin", io.StringIO(graph6() + "\n"))
         start = time.perf_counter()
         code, err = run_exit(capsys, ["rho", "--quotient"])
         assert time.perf_counter() - start < 1.0
