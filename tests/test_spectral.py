@@ -419,7 +419,8 @@ class TestEquitablePartition:
         checked = 0
         for g in graphs + [complement(g) for g in graphs]:
             coarsest = equitable_partition(g)
-            assert sum(coarsest) == g.full_mask and sorted(coarsest, key=lambda m: m & -m) == coarsest
+            assert sorted(v for cell in coarsest for v in iter_bits(cell)) == list(range(g.n))
+            assert sorted(coarsest, key=lambda cell: cell & -cell) == coarsest
             assert is_equitable(g, coarsest)
             for cells in set_partitions(g.n):
                 if is_equitable(g, cells):
